@@ -21,14 +21,15 @@ from .solver import SolverConfig, solve, success
 
 __all__ = ["main", "build_parser", "load_signal"]
 
+_SOLVER = SolverConfig()
+_SOLVER_FLAGS = {"rho": _SOLVER.rho, "max_iters": _SOLVER.max_iters, "tol": _SOLVER.tol_primal}
+
 _DEFAULTS = {
     "recover": {
         "delta": 0.0,
         "seed": 0,
         "threshold": 1e-3,
-        "rho": 1.0,
-        "max_iters": 2000,
-        "tol": 1e-7,
+        **_SOLVER_FLAGS,
         "family": "sinusoid",
     },
     "phase-transition": {
@@ -38,9 +39,7 @@ _DEFAULTS = {
         "trials": 20,
         "threshold": 1e-3,
         "seed": 0,
-        "rho": 1.0,
-        "max_iters": 2000,
-        "tol": 1e-7,
+        **_SOLVER_FLAGS,
         "out": "phase_transition.csv",
     },
     "norm-scan": {
@@ -80,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--delta", type=float, help="noise level (0 = noise-free, default 0)")
     rec.add_argument("--seed", type=int, help="base seed for signal/sketch/noise (default 0)")
     rec.add_argument("--threshold", type=float, help="relative-error success threshold (default 1e-3)")
-    rec.add_argument("--rho", type=float, help="ADMM penalty (default 1)")
-    rec.add_argument("--max-iters", type=int, help="ADMM iteration cap (default 2000)")
-    rec.add_argument("--tol", type=float, help="ADMM primal/dual tolerance (default 1e-7)")
+    rec.add_argument("--rho", type=float, help=f"ADMM penalty (default {_SOLVER.rho:g})")
+    rec.add_argument("--max-iters", type=int, help=f"ADMM iteration cap (default {_SOLVER.max_iters})")
+    rec.add_argument("--tol", type=float, help=f"ADMM primal/dual tolerance (default {_SOLVER.tol_primal:g})")
     rec.add_argument("--family", choices=["sinusoid", "damped"], help="mode family for generated signals")
     rec.add_argument("--input", help="JSON signal file to recover instead of generating one")
     rec.add_argument("--out", help="write the result JSON here (default: stdout)")
@@ -95,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--trials", type=int, help="trials per cell (default 20)")
     pt.add_argument("--threshold", type=float, help="success threshold (default 1e-3)")
     pt.add_argument("--seed", type=int, help="base seed (default 0)")
-    pt.add_argument("--rho", type=float, help="ADMM penalty (default 1)")
-    pt.add_argument("--max-iters", type=int, help="ADMM iteration cap (default 2000)")
-    pt.add_argument("--tol", type=float, help="ADMM tolerance (default 1e-7)")
+    pt.add_argument("--rho", type=float, help=f"ADMM penalty (default {_SOLVER.rho:g})")
+    pt.add_argument("--max-iters", type=int, help=f"ADMM iteration cap (default {_SOLVER.max_iters})")
+    pt.add_argument("--tol", type=float, help=f"ADMM tolerance (default {_SOLVER.tol_primal:g})")
     pt.add_argument("--out", help="output CSV path (default phase_transition.csv)")
     pt.add_argument("--config", help="JSON config file; flags override its values")
     pt.add_argument("--full", action="store_true", help="full protocol: N=64, 100 trials, M=1..127")
@@ -161,6 +160,8 @@ def load_signal(path) -> np.ndarray:
         raise ValueError(f"signal file {path} must hold 'real' and 'imag' arrays") from exc
     if real.ndim != 1 or real.shape != imag.shape:
         raise ValueError(f"signal file {path}: 'real' and 'imag' must be equal-length vectors")
+    if not (np.isfinite(real).all() and np.isfinite(imag).all()):
+        raise ValueError(f"signal file {path}: 'real' and 'imag' must have finite entries")
     return real + 1j * imag
 
 
@@ -212,7 +213,6 @@ def _run_recover(parser, args) -> int:
             max_iters=int(get("max_iters")),
             tol_primal=float(get("tol")),
             tol_dual=float(get("tol")),
-            delta=delta,
         )
     except ValueError as exc:
         parser.error(str(exc))

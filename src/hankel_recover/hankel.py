@@ -36,6 +36,23 @@ def _antidiag_weights(n: int) -> np.ndarray:
     return d
 
 
+@lru_cache(maxsize=None)
+def _hankel_index(n: int) -> np.ndarray:
+    """The N x N index matrix j + k that arranges a signal into a Hankel matrix."""
+    idx = np.arange(n)[:, None] + np.arange(n)[None, :]
+    idx.setflags(write=False)
+    return idx
+
+
+@lru_cache(maxsize=None)
+def _adjoint_index(n: int) -> np.ndarray:
+    """Bins for anti-diagonal sums over an N x N complex matrix viewed as
+    interleaved (real, imag) floats: entry (j, k) part p goes to bin 2(j+k) + p."""
+    idx = (2 * _hankel_index(n).reshape(-1, 1) + np.arange(2)).ravel()
+    idx.setflags(write=False)
+    return idx
+
+
 def _check_signal(x, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -45,18 +62,26 @@ def _check_signal(x, n: int) -> np.ndarray:
     return x
 
 
-def _check_square(x_mat) -> np.ndarray:
+def _check_square(x_mat, n: int | None = None) -> np.ndarray:
+    """Complex square matrix, of side n when given."""
     x_mat = np.asarray(x_mat, dtype=complex)
     if x_mat.ndim != 2 or x_mat.shape[0] != x_mat.shape[1] or x_mat.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {x_mat.shape}")
+    if n is not None and x_mat.shape[0] != n:
+        raise ValueError(f"expected a {n} x {n} matrix, got {x_mat.shape}")
     return x_mat
+
+
+def _lift_adjoint(x_mat: np.ndarray) -> np.ndarray:
+    n = x_mat.shape[0]
+    parts = np.ascontiguousarray(x_mat).view(np.float64).ravel()
+    sums = np.bincount(_adjoint_index(n), weights=parts, minlength=4 * n - 2).view(complex)
+    return sums / _antidiag_weights(n)
 
 
 def hankel_map(x, n: int) -> np.ndarray:
     """Arrange a length-(2N-1) vector into the N x N Hankel matrix H[j, k] = x[j+k]."""
-    x = _check_signal(x, n)
-    idx = np.arange(n)
-    return x[idx[:, None] + idx[None, :]]
+    return _check_signal(x, n)[_hankel_index(n)]
 
 
 def lift(y, n: int) -> np.ndarray:
@@ -66,7 +91,7 @@ def lift(y, n: int) -> np.ndarray:
     ``lift_adjoint(lift(y)) == y``.
     """
     y = _check_signal(y, n)
-    return hankel_map(y / _antidiag_weights(n), n)
+    return (y / _antidiag_weights(n))[_hankel_index(n)]
 
 
 def lift_adjoint(x_mat) -> np.ndarray:
@@ -75,13 +100,7 @@ def lift_adjoint(x_mat) -> np.ndarray:
     ``lift(lift_adjoint(X))`` is the orthogonal projection of X onto the
     Hankel subspace of C^(N x N).
     """
-    x_mat = _check_square(x_mat)
-    n = x_mat.shape[0]
-    idx = (np.arange(n)[:, None] + np.arange(n)[None, :]).ravel()
-    sums = np.bincount(idx, weights=x_mat.real.ravel(), minlength=2 * n - 1) + 1j * np.bincount(
-        idx, weights=x_mat.imag.ravel(), minlength=2 * n - 1
-    )
-    return sums / _antidiag_weights(n)
+    return _lift_adjoint(_check_square(x_mat))
 
 
 def weight_apply(x, inverse: bool = False) -> np.ndarray:
@@ -153,10 +172,7 @@ class HankelLift:
         return lift(y, self.n)
 
     def lift_adjoint(self, x_mat) -> np.ndarray:
-        x_mat = _check_square(x_mat)
-        if x_mat.shape[0] != self.n:
-            raise ValueError(f"expected a {self.n} x {self.n} matrix, got {x_mat.shape}")
-        return lift_adjoint(x_mat)
+        return _lift_adjoint(_check_square(x_mat, self.n))
 
     def toeplitz(self, x) -> np.ndarray:
         return toeplitz_map(x, self.n)

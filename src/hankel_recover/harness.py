@@ -50,7 +50,10 @@ def worker_count() -> int:
     """Worker pool size: HANKEL_RECOVER_THREADS if set, else cpu_count."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

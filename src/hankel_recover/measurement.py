@@ -48,13 +48,10 @@ class MeasurementEnsemble:
         self.n = n
         self.ambient_len = 2 * n - 1
         u, s, vh = np.linalg.svd(b, full_matrices=False)
-        for arr in (u, s, vh):
+        # kept as U^H, S, V: the form in which the projections apply them
+        self._u_h, self._s, self._v = u.conj().T, s, vh.conj().T
+        for arr in (self._u_h, self._s, self._v):
             arr.setflags(write=False)
-        self._u, self._s, self._vh = u, s, vh
-
-    def apply(self, y) -> np.ndarray:
-        """B @ y."""
-        return self.b_matrix @ y
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +65,8 @@ class Observation:
         b = np.asarray(self.b, dtype=complex)
         if b.ndim != 1:
             raise ValueError(f"expected a vector, got shape {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError("observation b must have finite entries")
         object.__setattr__(self, "b", b)
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
@@ -92,6 +91,8 @@ def measure(ens: MeasurementEnsemble, x, noise_delta: float = 0.0, rng_seed=None
     x = np.asarray(x, dtype=complex)
     if x.shape != (ens.ambient_len,):
         raise ValueError(f"expected a vector of length {ens.ambient_len}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("signal x must have finite entries")
     if noise_delta < 0:
         raise ValueError("noise_delta must be nonnegative")
     b = ens.b_matrix @ weight_apply(x)
@@ -115,16 +116,16 @@ def _pinv_components(ens: MeasurementEnsemble):
         raise ProjectionError(
             f"sketch is rank deficient (m={ens.m}, smallest singular value {s[-1]:.3e})"
         )
-    return ens._u, s, ens._vh
+    return ens._u_h, s, ens._v
 
 
 def project_affine(ens: MeasurementEnsemble, v, b) -> np.ndarray:
     """Closest point to v (in l2) satisfying B y = b exactly."""
     v = _check_vector(v, ens.ambient_len, "v")
     b = _check_vector(b, ens.m, "b")
-    u, s, vh = _pinv_components(ens)
+    u_h, s, v_mat = _pinv_components(ens)
     w = ens.b_matrix @ v - b
-    return v - vh.conj().T @ ((u.conj().T @ w) / s)
+    return v - v_mat @ ((u_h @ w) / s)
 
 
 def project_ball(ens: MeasurementEnsemble, v, b, delta: float) -> np.ndarray:
@@ -145,8 +146,8 @@ def project_ball(ens: MeasurementEnsemble, v, b, delta: float) -> np.ndarray:
     gap = float(np.linalg.norm(w))
     if gap <= delta:
         return v.copy()
-    u, s, vh = _pinv_components(ens)
-    wt = u.conj().T @ w
+    u_h, s, v_mat = _pinv_components(ens)
+    wt = u_h @ w
     wt2 = np.abs(wt) ** 2
     s2 = s**2
 
@@ -164,4 +165,4 @@ def project_ball(ens: MeasurementEnsemble, v, b, delta: float) -> np.ndarray:
             f"(gap={gap:.3e}, delta={delta:.3e}, hi={hi:.3e}, excess={excess(hi):.3e})"
         )
     mu = brentq(excess, 0.0, hi, xtol=1e-18, rtol=1e-12, maxiter=200)
-    return v - vh.conj().T @ (mu * s * wt / (1.0 + mu * s2))
+    return v - v_mat @ (mu * s * wt / (1.0 + mu * s2))

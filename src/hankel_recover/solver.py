@@ -15,7 +15,11 @@ __all__ = ["RecoveryResult", "SolverConfig", "solve", "success", "svt"]
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """ADMM parameters; ``delta = 0`` selects the equality-constrained program."""
+    """ADMM parameters.
+
+    The noise level comes from ``Observation.delta``; ``delta`` here is only
+    a cross-check, and a nonzero value must match the observation's.
+    """
 
     rho: float = 1.0
     max_iters: int = 2000
@@ -53,14 +57,39 @@ class RecoveryResult:
     converged: bool
 
 
+# svt's Gram route runs while n * eps * sigma_1^2 <= _GRAM_GUARD * tau^2.
+_GRAM_GUARD = 1e-6
+_EPS = np.finfo(float).eps
+
+
 def svt(x_mat, tau: float) -> np.ndarray:
     """Singular value thresholding: the prox of tau * nuclear norm at x_mat.
 
-    Returns U max(S - tau, 0) V^H from the SVD of x_mat.
+    Returns U max(S - tau, 0) V^H from the SVD of x_mat. It is computed from
+    the Hermitian eigendecomposition A^H A = V S^2 V^H (A A^H for wide
+    inputs): with V_k the eigenvectors whose eigenvalues exceed tau^2, the
+    result is A V_k diag(1 - tau / s_k) V_k^H. Forming A^H A squares the
+    condition number, so this route is taken only when the eigenvalue error
+    n * eps * s_1^2 is at most 1e-6 * tau^2; otherwise (tau = 0, or s_1 / tau
+    too large) the result comes from a full SVD.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    u, s, vh = np.linalg.svd(np.asarray(x_mat, dtype=complex), full_matrices=False)
+    a = np.asarray(x_mat, dtype=complex)
+    wide = a.shape[0] < a.shape[1]
+    a_h = a.conj().T
+    w, v = np.linalg.eigh(a @ a_h if wide else a_h @ a)
+    top = w[-1] if w.size else 0.0
+    if max(a.shape) * _EPS * top <= _GRAM_GUARD * tau * tau:
+        first = np.searchsorted(w, tau * tau, side="right")  # w is ascending
+        v = v[:, first:]
+        shrink = 1.0 - tau / np.sqrt(w[first:])
+        if wide:
+            return (v * shrink) @ (v.conj().T @ a)
+        av = a @ v
+        av *= shrink
+        return av @ v.conj().T
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
     return (u * np.maximum(s - tau, 0.0)) @ vh
 
 
@@ -79,9 +108,13 @@ def solve(
         U <- U + G y - Z
 
     The y-update collapses to a vector projection because the lift is an
-    isometry. Terminates when the primal residual ||G y - Z||_F and the dual
-    residual rho * ||G*(Z - Z_prev)||_2 fall below their (relative)
-    tolerances; hitting max_iters yields ``converged=False``, not an error.
+    isometry, and G*U is carried along as G*U + y - G*Z since G*G = I.
+    Terminates when the primal residual ||G y - Z||_F and the dual residual
+    rho * ||G*(Z - Z_prev)||_2 fall below their (relative) tolerances;
+    hitting max_iters yields ``converged=False``, not an error.
+
+    The noise level is ``obs.delta`` (0 selects the equality-constrained
+    program). A nonzero ``cfg.delta`` must agree with it.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -89,32 +122,41 @@ def solve(
         raise ValueError(
             f"lift context ({lift_ctx.ambient_len}) and ensemble ({ens.ambient_len}) disagree"
         )
-    b = np.asarray(obs.b, dtype=complex)
+    b = obs.b
     if b.shape != (ens.m,):
         raise ValueError(f"expected observation of length {ens.m}, got shape {b.shape}")
+    delta = obs.delta
+    if cfg.delta != 0.0 and cfg.delta != delta:
+        raise ValueError(
+            f"SolverConfig.delta ({cfg.delta}) conflicts with Observation.delta ({delta})"
+        )
 
     n = lift_ctx.n
     tau = 1.0 / cfg.rho
     y = np.zeros(lift_ctx.ambient_len, dtype=complex)
     lifted_y = np.zeros((n, n), dtype=complex)
-    z = np.zeros((n, n), dtype=complex)
     dual = np.zeros((n, n), dtype=complex)
+    adj_z = np.zeros(lift_ctx.ambient_len, dtype=complex)  # G*Z
+    adj_dual = np.zeros(lift_ctx.ambient_len, dtype=complex)  # G*U
     primal_res = dual_res = np.inf
     converged = False
     iterations = 0
 
     for iterations in range(1, cfg.max_iters + 1):
-        z_prev = z
+        adj_z_prev = adj_z
         z = svt(lifted_y + dual, tau)
-        v = lift_ctx.lift_adjoint(z - dual)
-        if cfg.delta == 0.0:
+        adj_z = lift_ctx.lift_adjoint(z)
+        v = adj_z - adj_dual
+        if delta == 0.0:
             y = project_affine(ens, v, b)
         else:
-            y = project_ball(ens, v, b, cfg.delta)
+            y = project_ball(ens, v, b, delta)
         lifted_y = lift_ctx.lift(y)
-        dual = dual + lifted_y - z
-        primal_res = float(np.linalg.norm(lifted_y - z))
-        dual_res = float(cfg.rho * np.linalg.norm(lift_ctx.lift_adjoint(z - z_prev)))
+        residual = lifted_y - z
+        dual += residual
+        adj_dual += y - adj_z
+        primal_res = float(np.linalg.norm(residual))
+        dual_res = float(cfg.rho * np.linalg.norm(adj_z - adj_z_prev))
         if primal_res <= cfg.tol_primal * (1.0 + np.linalg.norm(z)) and dual_res <= cfg.tol_dual * (
             1.0 + np.linalg.norm(y)
         ):

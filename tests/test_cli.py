@@ -95,6 +95,16 @@ def test_recover_rejects_bad_input_file(tmp_path):
     assert run_cli(["recover", "--input", str(short), "--n", "16", "--m", "5"]) == 1
 
 
+def test_recover_rejects_non_finite_input(tmp_path, capsys):
+    # json accepts the NaN literal; the loader must reject it before the solver
+    path = tmp_path / "nan.json"
+    path.write_text('{"real": [1.0, NaN, 0.0], "imag": [0.0, 0.0, 0.0]}')
+    with pytest.raises(ValueError, match="finite"):
+        load_signal(path)
+    assert run_cli(["recover", "--input", str(path), "--n", "2", "--m", "3"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_load_signal_round_trip(tmp_path):
     x = synthesize(random_instance(4, 2, "damped", 6))
     path = tmp_path / "sig.json"

@@ -39,6 +39,9 @@ def test_worker_count_env_cap(monkeypatch):
     assert worker_count() == 3
     monkeypatch.setenv(THREADS_ENV_VAR, "0")
     assert worker_count() == 1
+    monkeypatch.setenv(THREADS_ENV_VAR, "abc")
+    with pytest.raises(ValueError, match=f"{THREADS_ENV_VAR}.*'abc'"):
+        worker_count()
     monkeypatch.delenv(THREADS_ENV_VAR)
     assert worker_count() >= 1
 

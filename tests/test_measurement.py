@@ -48,6 +48,9 @@ def test_sample_ensemble_validation():
 def test_observation_validation():
     with pytest.raises(ValueError):
         Observation(np.zeros(3, dtype=complex), -0.5)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="observation b"):
+            Observation(np.array([1.0, bad, 0.0]))
 
 
 def test_measure_noise_free_is_exact_and_linear():
@@ -85,6 +88,10 @@ def test_measure_validation():
         measure(ens, np.zeros(5))
     with pytest.raises(ValueError):
         measure(ens, np.zeros(7), -1.0)
+    x = np.zeros(7, dtype=complex)
+    x[3] = complex(np.nan, 0.0)
+    with pytest.raises(ValueError, match="signal x"):
+        measure(ens, x)
 
 
 def test_project_affine_satisfies_constraint():

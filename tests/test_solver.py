@@ -16,6 +16,7 @@ from hankel_recover import (
     synthesize,
     weight_apply,
 )
+from hankel_recover import solver as solver_module
 
 
 def _rand_mat(rng, shape):
@@ -62,6 +63,98 @@ def test_svt_is_prox_of_nuclear_norm():
     sv = np.linalg.svd(cands, compute_uv=False)
     objs = tau * sv.sum(axis=1) + 0.5 * (np.abs(cands - x[None]) ** 2).reshape(10_000, -1).sum(axis=1)
     assert objs.min() >= base - 1e-12
+
+
+def _svt_by_svd(x, tau):
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    return (u * np.maximum(s - tau, 0.0)) @ vh
+
+
+def _with_spectrum(rng, shape, s):
+    """Random complex matrix of the given shape and singular values s."""
+    left, _ = np.linalg.qr(_rand_mat(rng, (shape[0], len(s))))
+    right, _ = np.linalg.qr(_rand_mat(rng, (shape[1], len(s))))
+    return (left * s) @ right.conj().T
+
+
+def _svt_route(monkeypatch, x, tau):
+    """svt(x, tau) and whether it fell back to the full SVD."""
+    svd_calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counting_svd)
+        out = svt(x, tau)
+    return out, bool(svd_calls)
+
+
+def _assert_matches_svd_definition(out, x, tau):
+    ref = _svt_by_svd(x, tau)
+    assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (96, 40), (40, 96)])
+def test_svt_matches_svd_definition_across_scales(shape, monkeypatch):
+    # sigma_1 / tau from 1 to 1e8 with a cluster of singular values at tau:
+    # the Gram route serves the low ratios, the full-SVD fallback the high ones
+    rng = np.random.default_rng(11)
+    k = min(shape)
+    tau = 0.3
+    routes = set()
+    for ratio in 10.0 ** np.arange(9):
+        s = np.sort(
+            np.concatenate(
+                [[ratio], 1.0 + rng.uniform(-0.01, 0.01, k // 4), np.geomspace(ratio, 1e-3, k - 1 - k // 4)]
+            )
+        )[::-1]
+        x = _with_spectrum(rng, shape, tau * s)
+        out, fell_back = _svt_route(monkeypatch, x, tau)
+        routes.add(fell_back)
+        _assert_matches_svd_definition(out, x, tau)
+    assert routes == {False, True}
+
+
+def test_svt_matches_svd_definition_when_rank_deficient():
+    rng = np.random.default_rng(12)
+    for shape, rank in (((64, 64), 5), ((50, 30), 1), ((30, 50), 29)):
+        s = np.zeros(min(shape))
+        s[:rank] = np.geomspace(10.0, 0.1, rank)
+        x = _with_spectrum(rng, shape, s)
+        for tau in (0.05, 0.5, 2.0, 20.0):
+            _assert_matches_svd_definition(svt(x, tau), x, tau)
+
+
+def test_svt_zero_threshold_matches_svd_definition():
+    rng = np.random.default_rng(13)
+    for shape in ((64, 64), (12, 5), (5, 12)):
+        x = _rand_mat(rng, shape)
+        out = svt(x, 0.0)
+        _assert_matches_svd_definition(out, x, 0.0)
+        assert np.linalg.norm(out - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_svt_matches_svd_definition_on_admm_iterates(monkeypatch):
+    # the complex-symmetric Hankel-plus-dual matrices the solver thresholds
+    # at N = 64, below (cap-hit) and above the phase transition
+    inputs = []
+
+    def recording(x_mat, tau):
+        inputs.append((x_mat.copy(), tau))
+        return svt(x_mat, tau)
+
+    monkeypatch.setattr(solver_module, "svt", recording)
+    n = 64
+    for r, m, seed in ((2, 12, 5), (3, 60, 6)):
+        x = synthesize(random_instance(n, r, "sinusoid", seed))
+        ens = sample_ensemble(m, n, seed + 100)
+        solve(ens, measure(ens, x), HankelLift(n), SolverConfig(max_iters=40))
+    assert len(inputs) == 80
+    for x_mat, tau in inputs[1::3]:
+        _assert_matches_svd_definition(svt(x_mat, tau), x_mat, tau)
 
 
 def test_svt_rejects_negative_tau():
@@ -136,6 +229,31 @@ def test_solve_noisy_program_respects_ball():
     assert gap <= delta * (1 + 1e-6)
     weighted = np.linalg.norm(HankelLift(n).d_diag * (res.x_hat - x))
     assert weighted <= 50 * delta  # stability at a generous constant
+
+
+def test_solve_reads_noise_level_from_observation():
+    n = 12
+    x = synthesize(random_instance(n, 2, "sinusoid", 8))
+    ens = sample_ensemble(18, n, 9)
+    delta = 1e-2
+    obs = measure(ens, x, delta, rng_seed=10)
+    res = solve(ens, obs, HankelLift(n), SolverConfig(max_iters=600))
+    # the noise-ball program ran: its constraint is active, where the
+    # equality-constrained program would fit b exactly
+    gap = np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b)
+    assert 0.5 * delta <= gap <= delta * (1 + 1e-6)
+    matching = solve(ens, obs, HankelLift(n), SolverConfig(delta=delta, max_iters=600))
+    assert np.array_equal(res.x_hat, matching.x_hat)
+
+
+def test_solve_rejects_conflicting_delta():
+    n = 8
+    x = synthesize(random_instance(n, 1, "sinusoid", 3))
+    ens = sample_ensemble(10, n, 4)
+    with pytest.raises(ValueError, match="delta"):
+        solve(ens, measure(ens, x, 1e-2, rng_seed=5), HankelLift(n), SolverConfig(delta=2e-2))
+    with pytest.raises(ValueError, match="delta"):
+        solve(ens, measure(ens, x), HankelLift(n), SolverConfig(delta=1e-2))
 
 
 def test_solve_deterministic():
