@@ -23,6 +23,11 @@ __all__ = ["main", "build_parser", "load_signal"]
 
 _SOLVER = SolverConfig()
 _SOLVER_FLAGS = {"rho": _SOLVER.rho, "max_iters": _SOLVER.max_iters, "tol": _SOLVER.tol_primal}
+_RHO_HELP = f"ADMM penalty relative to the rms of b, rho * sqrt(M) / ||b|| (default {_SOLVER.rho:g})"
+_TOL_HELP = (
+    f"ADMM relative tolerance: ||G y - Z|| <= tol ||Z|| and ||G*(Z_k - Z_k-1)|| <= tol ||y|| "
+    f"(default {_SOLVER.tol_primal:g})"
+)
 
 _DEFAULTS = {
     "recover": {
@@ -79,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--delta", type=float, help="noise level (0 = noise-free, default 0)")
     rec.add_argument("--seed", type=int, help="base seed for signal/sketch/noise (default 0)")
     rec.add_argument("--threshold", type=float, help="relative-error success threshold (default 1e-3)")
-    rec.add_argument("--rho", type=float, help=f"ADMM penalty (default {_SOLVER.rho:g})")
+    rec.add_argument("--rho", type=float, help=_RHO_HELP)
     rec.add_argument("--max-iters", type=int, help=f"ADMM iteration cap (default {_SOLVER.max_iters})")
-    rec.add_argument("--tol", type=float, help=f"ADMM primal/dual tolerance (default {_SOLVER.tol_primal:g})")
+    rec.add_argument("--tol", type=float, help=_TOL_HELP)
     rec.add_argument("--family", choices=["sinusoid", "damped"], help="mode family for generated signals")
     rec.add_argument("--input", help="JSON signal file to recover instead of generating one")
     rec.add_argument("--out", help="write the result JSON here (default: stdout)")
@@ -94,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--trials", type=int, help="trials per cell (default 20)")
     pt.add_argument("--threshold", type=float, help="success threshold (default 1e-3)")
     pt.add_argument("--seed", type=int, help="base seed (default 0)")
-    pt.add_argument("--rho", type=float, help=f"ADMM penalty (default {_SOLVER.rho:g})")
+    pt.add_argument("--rho", type=float, help=_RHO_HELP)
     pt.add_argument("--max-iters", type=int, help=f"ADMM iteration cap (default {_SOLVER.max_iters})")
-    pt.add_argument("--tol", type=float, help=f"ADMM tolerance (default {_SOLVER.tol_primal:g})")
+    pt.add_argument("--tol", type=float, help=_TOL_HELP)
     pt.add_argument("--out", help="output CSV path (default phase_transition.csv)")
     pt.add_argument("--config", help="JSON config file; flags override its values")
     pt.add_argument("--full", action="store_true", help="full protocol: N=64, 100 trials, M=1..127")

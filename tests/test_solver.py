@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankel_recover import (
     HankelLift,
@@ -150,11 +152,12 @@ def test_svt_matches_svd_definition_on_admm_iterates(monkeypatch):
 
     monkeypatch.setattr(solver_module, "svt", recording)
     n = 64
+    sweeps = 0
     for r, m, seed in ((2, 12, 5), (3, 60, 6)):
         x = synthesize(random_instance(n, r, "sinusoid", seed))
         ens = sample_ensemble(m, n, seed + 100)
-        solve(ens, measure(ens, x), HankelLift(n), SolverConfig(max_iters=40))
-    assert len(inputs) == 80
+        sweeps += solve(ens, measure(ens, x), HankelLift(n), SolverConfig(max_iters=40)).iterations
+    assert len(inputs) == sweeps >= 75  # one svt per sweep
     for x_mat, tau in inputs[1::3]:
         _assert_matches_svd_definition(svt(x_mat, tau), x_mat, tau)
 
@@ -231,6 +234,88 @@ def test_solve_noisy_program_respects_ball():
     assert gap <= delta * (1 + 1e-6)
     weighted = np.linalg.norm(HankelLift(n).d_diag * (res.x_hat - x))
     assert weighted <= 50 * delta  # stability at a generous constant
+
+
+def test_solve_ball_feasible_at_cap_after_extrapolated_step(monkeypatch):
+    # An extrapolated state may leave the noise ball; the returned point is
+    # the last projection's output, so it is feasible wherever the cap falls.
+    n = 12
+    x = synthesize(random_instance(n, 2, "sinusoid", 8))
+    ens = sample_ensemble(18, n, 9)
+    delta = 1e-2
+    obs = measure(ens, x, delta, rng_seed=10)
+    events = []
+    real_svt, real_extrapolate = solver_module.svt, solver_module._Anderson.extrapolate
+
+    def counting_svt(x_mat, tau):
+        events.append(None)
+        return real_svt(x_mat, tau)
+
+    def recording_extrapolate(self, out):
+        done = real_extrapolate(self, out)
+        if done:
+            y = out.view(complex)[n * n : n * n + 2 * n - 1]
+            events.append(float(np.linalg.norm(ens.b_matrix @ y - obs.b)))
+        return done
+
+    monkeypatch.setattr(solver_module, "svt", counting_svt)
+    monkeypatch.setattr(solver_module._Anderson, "extrapolate", recording_extrapolate)
+
+    def outside_at(max_iters):
+        """Sweep count and misfit of each extrapolated state that left the ball."""
+        events.clear()
+        res = solve(ens, obs, HankelLift(n), SolverConfig(max_iters=max_iters))
+        sweeps, outside = 0, {}
+        for event in events:
+            if event is None:
+                sweeps += 1
+            elif event > 1.01 * delta:
+                outside[sweeps] = event
+        return res, outside
+
+    _, outside = outside_at(200)
+    assert outside, "no extrapolated state left the noise ball"
+    last = min(outside) + 1  # the sweep that starts from the first one
+    res, outside = outside_at(last)
+    assert res.iterations == last and not res.converged
+    assert last - 1 in outside
+    assert np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b) <= delta * (1 + 1e-6)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(log_scale=st.floats(-6.0, 6.0), trial=st.integers(0, 3))
+def test_solve_is_scale_invariant(log_scale, trial):
+    n = 16
+    x = synthesize(random_instance(n, 2, "sinusoid", 41 + trial))
+    ens = sample_ensemble(24, n, 42 + trial)
+    obs = measure(ens, x)
+    scale = 10.0**log_scale
+    base = solve(ens, obs, HankelLift(n))
+    scaled = solve(ens, Observation(scale * obs.b), HankelLift(n))
+    assert scaled.converged == base.converged
+    assert np.linalg.norm(scaled.x_hat - scale * base.x_hat) <= 1e-6 * scale * np.linalg.norm(base.x_hat)
+    assert success(scaled, scale * x) == success(base, x)
+
+
+def test_converged_failures_beat_the_truth():
+    # Below the transition (N = 32, R = 2, M = 4) a converged solve that
+    # misses the truth must have found a feasible point of smaller nuclear
+    # norm: converging elsewhere is the program's outcome, not the solver's.
+    n, r, m = 32, 2, 4
+    ctx = HankelLift(n)
+    converged_failures = 0
+    for seed in range(6):
+        x = synthesize(random_instance(n, r, "sinusoid", seed))
+        ens = sample_ensemble(m, n, 1000 + seed)
+        obs = measure(ens, x)
+        res = solve(ens, obs, ctx)
+        assert np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b) <= 1e-9 * np.linalg.norm(obs.b)
+        if res.converged and not success(res, x):
+            converged_failures += 1
+            nuc_hat = np.linalg.svd(ctx.lift(res.y_hat), compute_uv=False).sum()
+            nuc_true = np.linalg.svd(ctx.lift(ctx.d_diag * x), compute_uv=False).sum()
+            assert nuc_hat < (1.0 - 1e-6) * nuc_true, f"seed {seed}: converged to a point that does not beat the truth"
+    assert converged_failures >= 2
 
 
 def test_solve_reads_noise_level_from_observation():
