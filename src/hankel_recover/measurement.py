@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .hankel import weight_apply
 
@@ -164,5 +163,7 @@ def project_ball(ens: MeasurementEnsemble, v, b, delta: float) -> np.ndarray:
             f"failed to bracket the ball-projection multiplier "
             f"(gap={gap:.3e}, delta={delta:.3e}, hi={hi:.3e}, excess={excess(hi):.3e})"
         )
+    from scipy.optimize import brentq  # here, so that importing the package loads no scipy
+
     mu = brentq(excess, 0.0, hi, xtol=1e-18, rtol=1e-12, maxiter=200)
     return v - v_mat @ (mu * s * wt / (1.0 + mu * s2))

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from .hankel import HankelLift
 from .measurement import MeasurementEnsemble, Observation, project_affine, project_ball
@@ -183,13 +182,14 @@ class _Anderson:
         """Write g_k - sum_i gamma_i (g_{i+1} - g_i) into the float view
         ``out``, with gamma the minimizer of ||f_k - sum_i gamma_i (f_{i+1} -
         f_i)||^2 plus a Tikhonov term; False, leaving ``out`` alone, without
-        two steps."""
+        two steps or with a singular system."""
         if self.stored < 2:
             return False
         cols, system = self._systems[self.slot - 1 if self.slot else len(self.gram) - 1, self.stored]
         normal = (system @ self.gram.ravel()).reshape(self.stored - 1, self.stored)
-        _, gamma, info = dposv(normal[:, :-1], normal[:, -1])
-        if info:
+        try:
+            gamma = np.linalg.solve(normal[:, :-1], normal[:, -1])
+        except np.linalg.LinAlgError:
             return False
         np.dot(cols[:, -1] - cols[:, :-1] @ gamma, self._img_re, out=out)
         return True

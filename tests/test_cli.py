@@ -154,3 +154,17 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_import_does_not_load_scipy():
+    # only the noise-ball projection loads scipy; importing scipy.optimize
+    # takes longer than importing the rest of the package with numpy
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hankel_recover, hankel_recover.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -8,10 +8,17 @@ from hankel_recover import (
     PhaseGrid,
     derive_seed,
     emit_csv,
+    lift,
     run_norm_scan,
     run_phase_transition,
+    weight_apply,
 )
-from hankel_recover.harness import THREADS_ENV_VAR, worker_count
+from hankel_recover.harness import (
+    _LANCZOS_MIN_N,
+    THREADS_ENV_VAR,
+    _top_singular_value,
+    worker_count,
+)
 
 
 def test_derive_seed_is_stable():
@@ -44,6 +51,15 @@ def test_worker_count_env_cap(monkeypatch):
         worker_count()
     monkeypatch.delenv(THREADS_ENV_VAR)
     assert worker_count() >= 1
+    # the pool is sized to the CPUs this process may run on, not the machine's
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    assert worker_count() == 1
+    monkeypatch.setenv(THREADS_ENV_VAR, "2")
+    assert worker_count() == 2
+    monkeypatch.delenv(THREADS_ENV_VAR)
+    monkeypatch.delattr("os.sched_getaffinity")
+    assert worker_count() == 8
 
 
 def test_phase_transition_square_cell_is_certain():
@@ -87,14 +103,61 @@ def test_norm_scan_statistics():
 
 
 def test_norm_scan_deterministic_and_validated():
-    a = run_norm_scan([2, 4], trials=40, rng_seed=9)
-    b = run_norm_scan([2, 4], trials=40, rng_seed=9)
+    # _LANCZOS_MIN_N takes the Lanczos route, whose start vector is fixed
+    a = run_norm_scan([2, 4, _LANCZOS_MIN_N], trials=40, rng_seed=9)
+    b = run_norm_scan([2, 4, _LANCZOS_MIN_N], trials=40, rng_seed=9)
     assert np.array_equal(a.means, b.means)
     assert np.array_equal(a.stderrs, b.stderrs)
     with pytest.raises(ValueError):
         run_norm_scan([4], trials=29)
     with pytest.raises(ValueError):
         run_norm_scan([0], trials=50)
+
+
+def _lifted_gaussian(n, rng):
+    g = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
+    return lift(g, n)
+
+
+@pytest.mark.parametrize(
+    "n, samples", [(_LANCZOS_MIN_N - 1, 4), (_LANCZOS_MIN_N, 4), (512, 2)]
+)
+def test_top_singular_value_matches_svd(n, samples):
+    rng = np.random.default_rng(n)
+    for _ in range(samples):
+        a = _lifted_gaussian(n, rng)
+        want = np.linalg.svd(a, compute_uv=False)[0]
+        assert abs(_top_singular_value(a) - want) <= 1e-12 * want
+
+
+def test_top_singular_value_rectangular_and_tiny():
+    rng = np.random.default_rng(1)
+    for shape in [(1, 1), (1, 5), (5, 1), (40, 7), (7, 40)]:
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = np.linalg.svd(a, compute_uv=False)[0]
+        assert abs(_top_singular_value(a) - want) <= 1e-12 * want
+
+
+def test_top_singular_value_of_zero_is_zero():
+    with np.errstate(all="raise"):
+        assert _top_singular_value(np.zeros((6, 6), dtype=complex)) == 0.0
+        assert _top_singular_value(np.zeros((3, 8), dtype=complex)) == 0.0
+
+
+@pytest.mark.parametrize("z", [0.97 * np.exp(0.3j), 1.0, -0.5, 0.9j])
+def test_top_singular_value_rank_one_breakdown_is_exact(z, monkeypatch):
+    # lift(D x) = H(x) = a a^T for x_k = z^k, a = (z^0, ..., z^(n-1)): rank
+    # one with norm ||a||^2, so the Krylov space is invariant after one step
+    n = 200
+    a_mat = lift(weight_apply(z ** np.arange(2 * n - 1)), n)
+    want = float(np.sum(np.abs(z) ** (2 * np.arange(n))))
+    checks = []  # convergence tests run; a breakdown at step 2 comes before any
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: checks.append(m.shape) or eigh(m))
+    with np.errstate(all="raise"):  # no division by a vanishing alpha
+        got = _top_singular_value(a_mat)
+    assert checks == []
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_norm_scan_stderr_shrinks_with_trials():
