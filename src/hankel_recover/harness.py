@@ -29,9 +29,6 @@ __all__ = [
 
 THREADS_ENV_VAR = "HANKEL_RECOVER_THREADS"
 
-# The norm scan takes sigma_1 from Golub-Kahan-Lanczos for N >= _LANCZOS_MIN_N
-# and from a dense SVD below, where the dense one is faster.
-_LANCZOS_MIN_N = 128
 # Lanczos stops once the top Ritz triplet's residual bound is at most
 # _LANCZOS_TOL * theta_1; the bound is evaluated every _LANCZOS_CHECK steps.
 _LANCZOS_TOL = 1e-14
@@ -236,9 +233,8 @@ def run_norm_scan(n_values, trials: int, rng_seed: int = 0) -> NormScan:
     """Monte-Carlo estimate of the mean spectral norm of lift(g) per N.
 
     g is a complex vector of length 2N-1 with standard normal real and
-    imaginary parts; stderr is sample std / sqrt(trials). The norm comes from
-    a dense SVD below N = _LANCZOS_MIN_N and from :func:`_top_singular_value`
-    from there on; both agree to rounding.
+    imaginary parts; stderr is sample std / sqrt(trials). Each norm comes
+    from :func:`_top_singular_value`.
     """
     n_values = tuple(int(v) for v in n_values)
     trials = int(trials)
@@ -254,11 +250,7 @@ def run_norm_scan(n_values, trials: int, rng_seed: int = 0) -> NormScan:
         vals = np.empty(trials)
         for t in range(trials):
             g = rng.standard_normal(ambient) + 1j * rng.standard_normal(ambient)
-            a = lift(g, n)
-            if n < _LANCZOS_MIN_N:
-                vals[t] = np.linalg.svd(a, compute_uv=False)[0]
-            else:
-                vals[t] = _top_singular_value(a)
+            vals[t] = _top_singular_value(lift(g, n))
         means[k] = vals.mean()
         stderrs[k] = vals.std(ddof=1) / np.sqrt(trials)
     return NormScan(n_values=n_values, trials=trials, means=means, stderrs=stderrs, seed=int(rng_seed))

@@ -13,12 +13,7 @@ from hankel_recover import (
     run_phase_transition,
     weight_apply,
 )
-from hankel_recover.harness import (
-    _LANCZOS_MIN_N,
-    THREADS_ENV_VAR,
-    _top_singular_value,
-    worker_count,
-)
+from hankel_recover.harness import THREADS_ENV_VAR, _top_singular_value, worker_count
 
 
 def test_derive_seed_is_stable():
@@ -103,9 +98,10 @@ def test_norm_scan_statistics():
 
 
 def test_norm_scan_deterministic_and_validated():
-    # _LANCZOS_MIN_N takes the Lanczos route, whose start vector is fixed
-    a = run_norm_scan([2, 4, _LANCZOS_MIN_N], trials=40, rng_seed=9)
-    b = run_norm_scan([2, 4, _LANCZOS_MIN_N], trials=40, rng_seed=9)
+    # Lanczos starts from a fixed vector; at N = 128 it runs several
+    # convergence checks before it stops
+    a = run_norm_scan([2, 4, 128], trials=40, rng_seed=9)
+    b = run_norm_scan([2, 4, 128], trials=40, rng_seed=9)
     assert np.array_equal(a.means, b.means)
     assert np.array_equal(a.stderrs, b.stderrs)
     with pytest.raises(ValueError):
@@ -119,9 +115,7 @@ def _lifted_gaussian(n, rng):
     return lift(g, n)
 
 
-@pytest.mark.parametrize(
-    "n, samples", [(_LANCZOS_MIN_N - 1, 4), (_LANCZOS_MIN_N, 4), (512, 2)]
-)
+@pytest.mark.parametrize("n, samples", [(2, 8), (16, 8), (64, 4), (128, 4), (512, 2)])
 def test_top_singular_value_matches_svd(n, samples):
     rng = np.random.default_rng(n)
     for _ in range(samples):
