@@ -21,41 +21,7 @@ from .solver import SolverConfig, solve, success
 
 __all__ = ["main", "build_parser", "load_signal"]
 
-_SOLVER = SolverConfig()
-_SOLVER_FLAGS = {"rho": _SOLVER.rho, "max_iters": _SOLVER.max_iters, "tol": _SOLVER.tol_primal}
-_RHO_HELP = f"ADMM penalty relative to the rms of b, rho * sqrt(M) / ||b|| (default {_SOLVER.rho:g})"
-_TOL_HELP = (
-    f"ADMM relative tolerance: ||G y - Z|| <= tol ||Z|| and ||G*(Z_k - Z_k-1)|| <= tol ||y|| "
-    f"(default {_SOLVER.tol_primal:g})"
-)
-
-_DEFAULTS = {
-    "recover": {
-        "delta": 0.0,
-        "seed": 0,
-        "threshold": 1e-3,
-        **_SOLVER_FLAGS,
-        "family": "sinusoid",
-    },
-    "phase-transition": {
-        "n": 16,
-        "r": "1,2,3",
-        "m": "4,8,12,16,20,24,28,31",
-        "trials": 20,
-        "threshold": 1e-3,
-        "seed": 0,
-        **_SOLVER_FLAGS,
-        "out": "phase_transition.csv",
-    },
-    "norm-scan": {
-        "n": "1,2,4,8,16,32,64",
-        "trials": 200,
-        "seed": 0,
-        "out": "norm_scan.csv",
-    },
-}
-
-# Full protocol: N=64, 100 trials per cell, M swept over 1..127.
+# What --full sets; a config file and explicit flags override each entry.
 _FULL_GRID = {"n": 64, "trials": 100, "m": ",".join(str(m) for m in range(1, 128))}
 
 
@@ -69,6 +35,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_list(value) -> list[int]:
+    try:
+        items = [int(tok) for tok in value.split(",") if tok.strip()]
+    except ValueError:
+        items = []
+    if not items:
+        raise argparse.ArgumentTypeError(f"expects a comma-separated list of integers, got {value!r}")
+    return items
+
+
+def _add_solver_flags(p):
+    p.add_argument(
+        "--rho",
+        type=float,
+        default=SolverConfig.rho,
+        help="ADMM penalty relative to the rms of b, rho * sqrt(M) / ||b|| (default %(default)g)",
+    )
+    p.add_argument(
+        "--max-iters", type=int, default=SolverConfig.max_iters, help="ADMM iteration cap (default %(default)s)"
+    )
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=SolverConfig.tol,
+        help="ADMM relative tolerance of both stopping tests: ||G y - Z|| <= tol ||Z|| and "
+        "||G*(Z_k - Z_k-1)|| <= tol ||y|| (default %(default)g)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hankel-recover",
@@ -76,42 +71,50 @@ def build_parser() -> argparse.ArgumentParser:
         "sketches; run phase-transition grids and spectral-norm scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_help = "JSON config file; flags override its values"
 
     rec = sub.add_parser("recover", help="recover one signal from a Gaussian sketch")
     rec.add_argument("--n", type=int, help="Hankel side length N; signals have length 2N-1")
     rec.add_argument("--r", type=int, help="number of modes (needed to generate, optional with --input)")
     rec.add_argument("--m", type=int, help="number of measurements")
-    rec.add_argument("--delta", type=float, help="noise level (0 = noise-free, default 0)")
-    rec.add_argument("--seed", type=int, help="base seed for signal/sketch/noise (default 0)")
-    rec.add_argument("--threshold", type=float, help="relative-error success threshold (default 1e-3)")
-    rec.add_argument("--rho", type=float, help=_RHO_HELP)
-    rec.add_argument("--max-iters", type=int, help=f"ADMM iteration cap (default {_SOLVER.max_iters})")
-    rec.add_argument("--tol", type=float, help=_TOL_HELP)
-    rec.add_argument("--family", choices=["sinusoid", "damped"], help="mode family for generated signals")
+    rec.add_argument("--delta", type=float, default=0.0, help="noise level (0 = noise-free, default %(default)g)")
+    rec.add_argument("--seed", type=int, default=0, help="base seed for signal/sketch/noise (default %(default)s)")
+    rec.add_argument(
+        "--threshold", type=float, default=1e-3, help="relative-error success threshold (default %(default)g)"
+    )
+    _add_solver_flags(rec)
+    rec.add_argument(
+        "--family", choices=["sinusoid", "damped"], default="sinusoid", help="mode family for generated signals"
+    )
     rec.add_argument("--input", help="JSON signal file to recover instead of generating one")
     rec.add_argument("--out", help="write the result JSON here (default: stdout)")
-    rec.add_argument("--config", help="JSON config file; flags override its values")
+    rec.add_argument("--config", help=config_help)
 
     pt = sub.add_parser("phase-transition", help="success-rate grid over (R, M)")
-    pt.add_argument("--n", type=int, help="Hankel side length (default 16)")
-    pt.add_argument("--r", help="comma-separated R values (default 1,2,3)")
-    pt.add_argument("--m", help="comma-separated M values (default 4,8,...,31)")
-    pt.add_argument("--trials", type=int, help="trials per cell (default 20)")
-    pt.add_argument("--threshold", type=float, help="success threshold (default 1e-3)")
-    pt.add_argument("--seed", type=int, help="base seed (default 0)")
-    pt.add_argument("--rho", type=float, help=_RHO_HELP)
-    pt.add_argument("--max-iters", type=int, help=f"ADMM iteration cap (default {_SOLVER.max_iters})")
-    pt.add_argument("--tol", type=float, help=_TOL_HELP)
-    pt.add_argument("--out", help="output CSV path (default phase_transition.csv)")
-    pt.add_argument("--config", help="JSON config file; flags override its values")
+    pt.add_argument("--n", type=int, default=16, help="Hankel side length (default %(default)s)")
+    pt.add_argument("--r", type=_int_list, default="1,2,3", help="comma-separated R values (default %(default)s)")
+    pt.add_argument(
+        "--m",
+        type=_int_list,
+        default="4,8,12,16,20,24,28,31",
+        help="comma-separated M values (default %(default)s)",
+    )
+    pt.add_argument("--trials", type=int, default=20, help="trials per cell (default %(default)s)")
+    pt.add_argument("--threshold", type=float, default=1e-3, help="success threshold (default %(default)g)")
+    pt.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
+    _add_solver_flags(pt)
+    pt.add_argument("--out", default="phase_transition.csv", help="output CSV path (default %(default)s)")
+    pt.add_argument("--config", help=config_help)
     pt.add_argument("--full", action="store_true", help="full protocol: N=64, 100 trials, M=1..127")
 
     ns = sub.add_parser("norm-scan", help="Monte-Carlo scan of the lifted-Gaussian spectral norm")
-    ns.add_argument("--n", help="comma-separated N values (default 1,2,4,...,64)")
-    ns.add_argument("--trials", type=int, help="trials per N (default 200, minimum 30)")
-    ns.add_argument("--seed", type=int, help="base seed (default 0)")
-    ns.add_argument("--out", help="output CSV path (default norm_scan.csv)")
-    ns.add_argument("--config", help="JSON config file; flags override its values")
+    ns.add_argument(
+        "--n", type=_int_list, default="1,2,4,8,16,32,64", help="comma-separated N values (default %(default)s)"
+    )
+    ns.add_argument("--trials", type=int, default=200, help="trials per N (default %(default)s, minimum 30)")
+    ns.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
+    ns.add_argument("--out", default="norm_scan.csv", help="output CSV path (default %(default)s)")
+    ns.add_argument("--config", help=config_help)
 
     return parser
 
@@ -129,28 +132,37 @@ def _load_config(parser, path):
     return cfg
 
 
-def _getter(args, config, defaults):
-    """Flags override the config file, which overrides built-in defaults."""
+def _as_flags(values, dests) -> list[str]:
+    """``--key=value`` tokens for the entries of ``values`` that name a valued
+    option in ``dests`` (not the subcommand, ``--config`` or ``--full``);
+    lists become comma-separated and nulls are skipped."""
+    tokens = []
+    for key, value in values.items():
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        if key in dests and key not in ("command", "config", "full") and value is not None:
+            tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
-    def get(key):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is None:
-            value = config.get(key, defaults.get(key))
-        return value
 
-    return get
+def _parse(parser, argv):
+    """Parse ``argv`` with the ``--full`` grid and then the ``--config``
+    values placed ahead of the explicit flags, so that a flag beats the
+    config file, which beats ``--full``, which beats the built-in default;
+    every value is type-checked by its option's declaration."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    config = _load_config(parser, args.config)
+    presets = dict(_FULL_GRID) if hasattr(args, "full") and (args.full or config.get("full")) else {}
+    presets.update(config)
+    return parser.parse_args([argv[0], *_as_flags(presets, vars(args)), *argv[1:]])
 
 
-def _int_list(parser, value, flag):
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
+def _solver_config(parser, args) -> SolverConfig:
     try:
-        items = [int(tok) for tok in str(value).split(",") if tok.strip()]
-    except ValueError:
-        items = []
-    if not items:
-        parser.error(f"{flag} expects a comma-separated list of integers, got {value!r}")
-    return items
+        return SolverConfig(rho=args.rho, max_iters=args.max_iters, tol=args.tol)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def load_signal(path) -> np.ndarray:
@@ -187,55 +199,37 @@ def _extract_modes(x_hat, r):
 
 
 def _run_recover(parser, args) -> int:
-    config = _load_config(parser, args.config)
-    get = _getter(args, config, _DEFAULTS["recover"])
-
-    n, m, r = get("n"), get("m"), get("r")
+    n, m, r = args.n, args.m, args.r
     if n is None or m is None:
         parser.error("--n and --m are required (flags or config file)")
-    n, m = int(n), int(m)
-    delta = float(get("delta"))
-    seed = int(get("seed"))
-    threshold = float(get("threshold"))
-    input_path = get("input")
     if n < 1:
         parser.error("--n must be >= 1")
     if not 1 <= m <= 2 * n - 1:
         parser.error(f"--m must satisfy 1 <= m <= 2N-1 = {2 * n - 1}")
-    if delta < 0:
+    if args.delta < 0:
         parser.error("--delta must be nonnegative")
-    if threshold <= 0:
+    if args.threshold <= 0:
         parser.error("--threshold must be positive")
-    if r is None and input_path is None:
+    if r is None and args.input is None:
         parser.error("--r is required unless --input provides a signal")
-    if r is not None:
-        r = int(r)
-        if not 1 <= r < 2 * n - 1:
-            parser.error(f"--r must satisfy 1 <= r < 2N-1 = {2 * n - 1}")
-    try:
-        cfg = SolverConfig(
-            rho=float(get("rho")),
-            max_iters=int(get("max_iters")),
-            tol_primal=float(get("tol")),
-            tol_dual=float(get("tol")),
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    if r is not None and not 1 <= r < 2 * n - 1:
+        parser.error(f"--r must satisfy 1 <= r < 2N-1 = {2 * n - 1}")
+    cfg = _solver_config(parser, args)
 
-    if input_path is not None:
+    if args.input is not None:
         try:
-            x_true = load_signal(input_path)
+            x_true = load_signal(args.input)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
         if x_true.shape[0] != 2 * n - 1:
             parser.error(f"input signal has length {x_true.shape[0]}, expected 2N-1 = {2 * n - 1}")
     else:
-        sig = random_instance(n, r, get("family"), derive_seed(seed, "signal"))
+        sig = random_instance(n, r, args.family, derive_seed(args.seed, "signal"))
         x_true = synthesize(sig)
 
     lift_ctx = HankelLift(n)
-    ens = sample_ensemble(m, n, derive_seed(seed, "ensemble"))
-    obs = measure(ens, x_true, delta, derive_seed(seed, "noise"))
+    ens = sample_ensemble(m, n, derive_seed(args.seed, "ensemble"))
+    obs = measure(ens, x_true, args.delta, derive_seed(args.seed, "noise"))
     result = solve(ens, obs, lift_ctx, cfg)
 
     rel_error = float(np.linalg.norm(result.x_hat - x_true) / np.linalg.norm(x_true))
@@ -248,9 +242,9 @@ def _run_recover(parser, args) -> int:
         "n": n,
         "m": m,
         "r": r,
-        "delta": delta,
-        "seed": seed,
-        "threshold": threshold,
+        "delta": args.delta,
+        "seed": args.seed,
+        "threshold": args.threshold,
         "converged": result.converged,
         "iterations": result.iterations,
         "primal_residual": result.primal_residual,
@@ -258,23 +252,22 @@ def _run_recover(parser, args) -> int:
         "objective": result.objective,
         "relative_error": rel_error,
         "weighted_error": weighted_error,
-        "success": bool(success(result, x_true, threshold)),
+        "success": bool(success(result, x_true, args.threshold)),
         "x_hat": {"real": result.x_hat.real.tolist(), "imag": result.x_hat.imag.tolist()},
         "modes": modes,
         "pencil_residual": pencil_residual,
     }
     text = json.dumps(payload, indent=2)
     summary = (
-        f"recover n={n} m={m} r={r} delta={delta:g} seed={seed}: "
+        f"recover n={n} m={m} r={r} delta={args.delta:g} seed={args.seed}: "
         f"rel_error={rel_error:.3e} converged={result.converged} "
         f"iterations={result.iterations}"
     )
-    out = get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         print(summary)
-        print(f"wrote {out}")
+        print(f"wrote {args.out}")
     else:
         print(text)
         print(summary, file=sys.stderr)
@@ -282,66 +275,45 @@ def _run_recover(parser, args) -> int:
 
 
 def _run_phase_transition(parser, args) -> int:
-    config = _load_config(parser, args.config)
-    defaults = dict(_DEFAULTS["phase-transition"])
-    if args.full or config.get("full"):
-        defaults.update(_FULL_GRID)
-    get = _getter(args, config, defaults)
-
-    n = int(get("n"))
-    trials = int(get("trials"))
-    r_values = _int_list(parser, get("r"), "--r")
-    m_values = _int_list(parser, get("m"), "--m")
     try:
-        cfg = SolverConfig(
-            rho=float(get("rho")),
-            max_iters=int(get("max_iters")),
-            tol_primal=float(get("tol")),
-            tol_dual=float(get("tol")),
-        )
         grid = run_phase_transition(
-            n,
-            r_values,
-            m_values,
-            trials,
-            threshold=float(get("threshold")),
-            base_seed=int(get("seed")),
-            config=cfg,
+            args.n,
+            args.r,
+            args.m,
+            args.trials,
+            threshold=args.threshold,
+            base_seed=args.seed,
+            config=_solver_config(parser, args),
         )
     except ValueError as exc:
         parser.error(str(exc))
-    out = get("out")
-    emit_csv(grid, out)
+    emit_csv(grid, args.out)
     print(
-        f"phase transition n={n} cells={len(r_values) * len(m_values)} "
-        f"trials={trials} seed={get('seed')}"
+        f"phase transition n={args.n} cells={len(args.r) * len(args.m)} "
+        f"trials={args.trials} seed={args.seed}"
     )
     for i, r in enumerate(grid.r_values):
         rates = " ".join(f"M={m}:{grid.success_rate[i, j]:.2f}" for j, m in enumerate(grid.m_values))
         print(f"  R={r}: {rates}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
 def _run_norm_scan(parser, args) -> int:
-    config = _load_config(parser, args.config)
-    get = _getter(args, config, _DEFAULTS["norm-scan"])
-    n_values = _int_list(parser, get("n"), "--n")
     try:
-        scan = run_norm_scan(n_values, int(get("trials")), int(get("seed")))
+        scan = run_norm_scan(args.n, args.trials, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    out = get("out")
-    emit_csv(scan, out)
+    emit_csv(scan, args.out)
     for k, n in enumerate(scan.n_values):
         print(f"N={n}: mean spectral norm {scan.means[k]:.6f} +- {scan.stderrs[k]:.6f}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     if args.command == "recover":
         return _run_recover(parser, args)
     if args.command == "phase-transition":

@@ -165,18 +165,8 @@ class HankelLift:
         object.__setattr__(self, "weights", _antidiag_lengths(self.n))
         object.__setattr__(self, "d_diag", _antidiag_weights(self.n))
 
-    def hankel(self, x) -> np.ndarray:
-        return hankel_map(x, self.n)
-
     def lift(self, y) -> np.ndarray:
         return lift(y, self.n)
 
     def lift_adjoint(self, x_mat) -> np.ndarray:
         return _lift_adjoint(_check_square(x_mat, self.n))
-
-    def toeplitz(self, x) -> np.ndarray:
-        return toeplitz_map(x, self.n)
-
-    def weight(self, x, inverse: bool = False) -> np.ndarray:
-        x = _check_signal(x, self.n)
-        return weight_apply(x, inverse=inverse)

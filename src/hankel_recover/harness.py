@@ -113,13 +113,12 @@ def run_phase_transition(
     base_seed: int = 0,
     family: str = "sinusoid",
     config: SolverConfig | None = None,
-    workers: int | None = None,
 ) -> PhaseGrid:
     """Noise-free success-rate table: ``trials`` independent recoveries per cell.
 
     Per-trial seeds derive from (base_seed, R, M, trial), and outcomes are
     reduced in fixed (R, M, trial) order, so the result is identical for any
-    worker pool size.
+    worker pool size (:func:`worker_count`).
     """
     n = int(n)
     r_values = tuple(int(r) for r in r_values)
@@ -151,7 +150,7 @@ def run_phase_transition(
             n, r_values[i], m_values[j], t, base_seed, threshold, family, lift_ctx, cfg
         )
 
-    pool_size = min(workers if workers is not None else worker_count(), max(1, len(jobs)))
+    pool_size = min(worker_count(), max(1, len(jobs)))
     if pool_size > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             outcomes = list(pool.map(one, jobs))

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hankel import HankelLift
+from .hankel import HankelLift, weight_apply
 from .measurement import MeasurementEnsemble, Observation, project_affine, project_ball
 
 __all__ = ["RecoveryResult", "SolverConfig", "solve", "success", "svt"]
@@ -22,8 +22,8 @@ class SolverConfig:
     ``rho`` is dimensionless: the penalty is rho_eff = rho * sqrt(M) / ||b||,
     that is rho over the rms of the measurements b, so scaling the data
     scales the solution and leaves the iterations unchanged. A solve stops
-    when ||G y - Z||_F <= tol_primal * ||Z||_F and ||G*(Z_k - Z_{k-1})||_2 <=
-    tol_dual * ||y||_2, the second taken across two plain sweeps; see
+    when ||G y - Z||_F <= tol * ||Z||_F and ||G*(Z_k - Z_{k-1})||_2 <=
+    tol * ||y||_2, the second taken across two plain sweeps; see
     :func:`solve`, which also accelerates the sweeps (Anderson, memory 5).
 
     The noise level comes from ``Observation.delta``; ``delta`` here is only
@@ -32,8 +32,7 @@ class SolverConfig:
 
     rho: float = 30.0
     max_iters: int = 2000
-    tol_primal: float = 1e-7
-    tol_dual: float = 1e-7
+    tol: float = 1e-7
     delta: float = 0.0
 
     def __post_init__(self):
@@ -41,8 +40,8 @@ class SolverConfig:
             raise ValueError("rho must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
 
@@ -58,8 +57,8 @@ class RecoveryResult:
     ``dual_residual`` is ||G*(Z_k - Z_{k-1})||_2 of the last sweep that
     followed a plain one (no rho factor), both in the units of b.
     ``converged`` holds iff, within ``max_iters``, a sweep had
-    primal_residual <= tol_primal * ||Z||_F and dual_residual <= tol_dual *
-    ||y||_2.
+    primal_residual <= tol * ||Z||_F and dual_residual <= tol * ||y||_2,
+    with the ``tol`` of :class:`SolverConfig`.
     """
 
     x_hat: np.ndarray
@@ -242,9 +241,9 @@ def solve(
     the smallest seen so far; it is also kept when the primal test passes, so
     that the following sweep can run the dual test exactly.
 
-    Terminates when ||G y - Z||_F <= tol_primal * ||Z||_F and, across two
+    Terminates when ||G y - Z||_F <= tol * ||Z||_F and, across two
     consecutive plain sweeps (Z_0 = 0), ||G*(Z_k - Z_{k-1})||_2 <=
-    tol_dual * ||y||_2; hitting max_iters yields ``converged=False``, not an
+    tol * ||y||_2; hitting max_iters yields ``converged=False``, not an
     error. The returned y is always the last projection's output, so it
     satisfies the constraint whatever the last step was.
 
@@ -302,10 +301,10 @@ def solve(
         image.y[:] = y
         np.subtract(y, v, out=image.adj_dual)  # G*U + y - G*Z
 
-        primal_ok = primal_res <= cfg.tol_primal * _norm(z)
+        primal_ok = primal_res <= cfg.tol * _norm(z)
         if plain:
             dual_res = _norm(adj_z - adj_z_prev)
-            if primal_ok and dual_res <= cfg.tol_dual * _norm(y):
+            if primal_ok and dual_res <= cfg.tol * _norm(y):
                 converged = True
                 break
         np.subtract(z, lifted_y, out=steps[accel.slot])
@@ -326,7 +325,7 @@ def solve(
 
     objective = float(np.linalg.svd(lifted, compute_uv=False).sum())
     return RecoveryResult(
-        x_hat=lift_ctx.weight(y, inverse=True),
+        x_hat=weight_apply(y, inverse=True),
         y_hat=y,
         iterations=iterations,
         primal_residual=primal_res,

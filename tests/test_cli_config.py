@@ -1,0 +1,52 @@
+"""Config files and ``--full`` go through the same option declarations as
+explicit flags."""
+
+import dataclasses
+import json
+
+import pytest
+
+from hankel_recover import SolverConfig
+from hankel_recover.cli import build_parser, main
+
+
+def run_cli(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "command, config, option",
+    [
+        ("recover", {"n": "abc", "m": 5, "r": 1}, "--n"),
+        ("phase-transition", {"trials": "x"}, "--trials"),
+        ("norm-scan", {"trials": "x"}, "--trials"),
+    ],
+)
+def test_malformed_config_value_is_usage_error(tmp_path, capsys, command, config, option):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and option in err and "Traceback" not in err
+
+
+def test_full_grid_precedence(tmp_path):
+    # flag > config file > --full > built-in default
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"trials": 2, "m": [6, 15], "r": 1}))
+    out = tmp_path / "grid.csv"
+    assert run_cli(["phase-transition", "--full", "--config", str(path), "--n", "8", "--out", str(out)]) == 0
+    rows = [line.split(",")[:4] for line in out.read_text().splitlines()]
+    assert rows == [["N", "R", "M", "trials"], ["8", "1", "6", "2"], ["8", "1", "15", "2"]]
+
+
+@pytest.mark.parametrize("command", ["recover", "phase-transition"])
+def test_solver_flag_defaults_are_solver_config_defaults(command):
+    args = vars(build_parser().parse_args([command]))
+    defaults = SolverConfig()
+    for field in dataclasses.fields(SolverConfig):
+        if field.name != "delta":  # the noise level comes from the observation
+            assert args[field.name] == getattr(defaults, field.name)

@@ -190,9 +190,10 @@ def test_lift_context_methods_agree_with_free_functions():
     y = _rand_vec(rng, ctx.ambient_len)
     x_mat = _rand_mat(rng, 6)
     assert np.array_equal(ctx.lift(y), lift(y, 6))
-    assert np.array_equal(ctx.hankel(y), hankel_map(y, 6))
     assert np.array_equal(ctx.lift_adjoint(x_mat), lift_adjoint(x_mat))
-    assert np.array_equal(ctx.weight(y), weight_apply(y))
+    assert np.array_equal(ctx.d_diag * y, weight_apply(y))
+    with pytest.raises(ValueError):
+        ctx.lift(np.ones(9))
     with pytest.raises(ValueError):
         ctx.lift_adjoint(np.ones((4, 4)))
     with pytest.raises(ValueError):

@@ -84,9 +84,11 @@ def test_phase_transition_cells_reproducible_in_isolation():
     assert single.success_rate[0, 0] == full.success_rate[1, 0]
 
 
-def test_phase_transition_worker_pool_does_not_change_rates():
-    serial = run_phase_transition(8, [2], [6, 15], trials=6, base_seed=3, workers=1)
-    threaded = run_phase_transition(8, [2], [6, 15], trials=6, base_seed=3, workers=4)
+def test_phase_transition_worker_pool_does_not_change_rates(monkeypatch):
+    monkeypatch.setenv(THREADS_ENV_VAR, "1")
+    serial = run_phase_transition(8, [2], [6, 15], trials=6, base_seed=3)
+    monkeypatch.setenv(THREADS_ENV_VAR, "4")
+    threaded = run_phase_transition(8, [2], [6, 15], trials=6, base_seed=3)
     assert np.array_equal(serial.success_rate, threaded.success_rate)
 
 

@@ -173,7 +173,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
-        SolverConfig(tol_primal=0.0)
+        SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(delta=-1e-3)
 
