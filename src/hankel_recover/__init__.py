@@ -21,7 +21,6 @@ from .harness import (
 from .measurement import (
     MeasurementEnsemble,
     Observation,
-    ProjectionError,
     measure,
     project_affine,
     project_ball,
@@ -48,7 +47,6 @@ __all__ = [
     "NormScan",
     "Observation",
     "PhaseGrid",
-    "ProjectionError",
     "RecoveryResult",
     "SolverConfig",
     "derive_seed",

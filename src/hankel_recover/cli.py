@@ -155,7 +155,11 @@ def _parse(parser, argv):
     config = _load_config(parser, args.config)
     presets = dict(_FULL_GRID) if hasattr(args, "full") and (args.full or config.get("full")) else {}
     presets.update(config)
-    return parser.parse_args([argv[0], *_as_flags(presets, vars(args)), *argv[1:]])
+    try:
+        return parser.parse_args([argv[0], *_as_flags(presets, vars(args)), *argv[1:]])
+    except SystemExit:  # argv parsed alone above, so the config file holds the bad value
+        sys.stderr.write(f"{parser.prog}: error: the rejected value is from config file {args.config}\n")
+        raise
 
 
 def _solver_config(parser, args) -> SolverConfig:

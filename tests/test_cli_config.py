@@ -30,7 +30,7 @@ def test_malformed_config_value_is_usage_error(tmp_path, capsys, command, config
     path.write_text(json.dumps(config))
     assert run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert "usage" in err and option in err and "Traceback" not in err
+    assert "usage" in err and option in err and str(path) in err and "Traceback" not in err
 
 
 def test_full_grid_precedence(tmp_path):

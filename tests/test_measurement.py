@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import brentq
 
 from hankel_recover import (
     MeasurementEnsemble,
@@ -11,6 +12,7 @@ from hankel_recover import (
     sample_ensemble,
     weight_apply,
 )
+from hankel_recover.measurement import _ball_multiplier
 
 
 def _rand_vec(rng, length):
@@ -43,6 +45,13 @@ def test_sample_ensemble_validation():
         sample_ensemble(4, 0, 0)
     with pytest.raises(ValueError):
         MeasurementEnsemble(np.ones((3, 5)), 4)  # wrong width for n=4
+    with pytest.raises(ValueError):
+        sample_ensemble(8, 4, 0)  # M > 2N-1: no projection onto B y = b
+    with pytest.raises(ValueError, match="rank deficient"):
+        MeasurementEnsemble(np.ones((3, 7)), 4)
+    rows = sample_ensemble(3, 4, 0).b_matrix
+    with pytest.raises(ValueError, match="rank deficient"):
+        MeasurementEnsemble(np.vstack([rows, rows[0] + 2j * rows[1]]), 4)
 
 
 def test_observation_validation():
@@ -168,6 +177,27 @@ def test_project_ball_feasibility_and_kkt():
         mu = -np.real(np.vdot(grad, step)) / np.linalg.norm(grad) ** 2
         assert mu > 0
         assert np.linalg.norm(step + mu * grad) <= 1e-6 * np.linalg.norm(step)
+
+
+def test_project_ball_multiplier_matches_brent():
+    rng = np.random.default_rng(14)
+    cases = [(ratio, scale) for ratio in np.geomspace(1e-8, 0.9, 8) for scale in (1e-6, 1.0, 1e6)]
+    for trial, (ratio, scale) in enumerate(cases):
+        ens = sample_ensemble(int(rng.integers(1, 16)), 8, 200 + trial)
+        v = scale * _rand_vec(rng, 15)
+        b = scale * _rand_vec(rng, ens.m)
+        w = ens.b_matrix @ v - b
+        gap = np.linalg.norm(w)
+        delta = ratio * gap
+        y = project_ball(ens, v, b, delta)
+        # the residual's evaluation rounds at about 1e-15 of the gap
+        assert abs(np.linalg.norm(ens.b_matrix @ y - b) - delta) <= 1e-9 * delta + 1e-13 * gap
+        u, s, _ = np.linalg.svd(ens.b_matrix, full_matrices=False)
+        wt2 = np.abs(u.conj().T @ w) ** 2
+        s2 = s**2
+        hi = 1.0 / (ratio * float(s2.min()))  # ||r(hi)|| <= gap / (1 + hi s_min^2) < delta
+        ref = brentq(lambda mu: float(wt2 @ (1.0 + mu * s2) ** -2) - delta**2, 0.0, hi, xtol=1e-300, rtol=1e-14)
+        assert abs(_ball_multiplier(wt2, s2, delta) - ref) <= 1e-10 * ref
 
 
 def test_project_ball_never_beats_affine_objective():
