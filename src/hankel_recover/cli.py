@@ -17,7 +17,7 @@ from .harness import derive_seed, emit_csv, run_norm_scan, run_phase_transition
 from .hankel import HankelLift
 from .measurement import measure, sample_ensemble
 from .modal import ModeExtractionError, matrix_pencil, random_instance, synthesize
-from .solver import SolverConfig, solve, success
+from .solver import SUCCESS_THRESHOLD, SolverConfig, solve, success
 
 __all__ = ["main", "build_parser", "load_signal"]
 
@@ -80,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--delta", type=float, default=0.0, help="noise level (0 = noise-free, default %(default)g)")
     rec.add_argument("--seed", type=int, default=0, help="base seed for signal/sketch/noise (default %(default)s)")
     rec.add_argument(
-        "--threshold", type=float, default=1e-3, help="relative-error success threshold (default %(default)g)"
+        "--threshold",
+        type=float,
+        default=SUCCESS_THRESHOLD,
+        help="relative-error success threshold (default %(default)g)",
     )
     _add_solver_flags(rec)
     rec.add_argument(
@@ -100,7 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated M values (default %(default)s)",
     )
     pt.add_argument("--trials", type=int, default=20, help="trials per cell (default %(default)s)")
-    pt.add_argument("--threshold", type=float, default=1e-3, help="success threshold (default %(default)g)")
+    pt.add_argument(
+        "--threshold", type=float, default=SUCCESS_THRESHOLD, help="success threshold (default %(default)g)"
+    )
     pt.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
     _add_solver_flags(pt)
     pt.add_argument("--out", default="phase_transition.csv", help="output CSV path (default %(default)s)")

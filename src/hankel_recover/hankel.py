@@ -53,13 +53,12 @@ def _adjoint_index(n: int) -> np.ndarray:
     return idx
 
 
-def _check_signal(x, n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 1 or x.shape[0] != 2 * n - 1:
-        raise ValueError(f"expected a vector of length {2 * n - 1}, got shape {x.shape}")
-    return x
+def _check_vector(v, length: int, name: str = "a vector") -> np.ndarray:
+    """``v`` as a complex array of shape (length,); ValueError otherwise."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (length,):
+        raise ValueError(f"expected {name} of length {length}, got shape {v.shape}")
+    return v
 
 
 def _check_square(x_mat, n: int | None = None) -> np.ndarray:
@@ -81,7 +80,7 @@ def _lift_adjoint(x_mat: np.ndarray) -> np.ndarray:
 
 def hankel_map(x, n: int) -> np.ndarray:
     """Arrange a length-(2N-1) vector into the N x N Hankel matrix H[j, k] = x[j+k]."""
-    return _check_signal(x, n)[_hankel_index(n)]
+    return _check_vector(x, 2 * n - 1)[_hankel_index(n)]
 
 
 def lift(y, n: int) -> np.ndarray:
@@ -90,7 +89,7 @@ def lift(y, n: int) -> np.ndarray:
     The Frobenius norm of the output equals the Euclidean norm of y, and
     ``lift_adjoint(lift(y)) == y``.
     """
-    y = _check_signal(y, n)
+    y = _check_vector(y, 2 * n - 1)
     return (y / _antidiag_weights(n))[_hankel_index(n)]
 
 
@@ -121,7 +120,7 @@ def toeplitz_map(x, n: int) -> np.ndarray:
     T(x) equals H(x) times the anti-identity, a unitary flip, so the two share
     singular values and in particular nuclear norm.
     """
-    x = _check_signal(x, n)
+    x = _check_vector(x, 2 * n - 1)
     idx = np.arange(n)
     return x[n - 1 + idx[:, None] - idx[None, :]]
 
@@ -129,6 +128,8 @@ def toeplitz_map(x, n: int) -> np.ndarray:
 def numerical_rank(x_mat, margin: float = 1e3) -> int:
     """Singular values above max(shape) * eps * sigma_1 * margin."""
     x_mat = np.asarray(x_mat, dtype=complex)
+    if not np.isfinite(x_mat).all():
+        raise ValueError("matrix must have finite entries")
     s = np.linalg.svd(x_mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0

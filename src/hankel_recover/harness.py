@@ -14,7 +14,7 @@ import numpy as np
 from .hankel import HankelLift, lift
 from .measurement import measure, sample_ensemble
 from .modal import random_instance, synthesize
-from .solver import SolverConfig, _norm, solve, success
+from .solver import SUCCESS_THRESHOLD, SolverConfig, _norm, solve, success
 
 __all__ = [
     "NormScan",
@@ -96,8 +96,8 @@ class NormScan:
     seed: int
 
 
-def _phase_trial(n, r, m, trial, base_seed, threshold, family, lift_ctx, cfg) -> bool:
-    sig = random_instance(n, r, family, derive_seed(base_seed, "signal", r, m, trial))
+def _phase_trial(n, r, m, trial, base_seed, threshold, lift_ctx, cfg) -> bool:
+    sig = random_instance(n, r, rng_seed=derive_seed(base_seed, "signal", r, m, trial))
     x_true = synthesize(sig)
     ens = sample_ensemble(m, n, derive_seed(base_seed, "ensemble", r, m, trial))
     obs = measure(ens, x_true)
@@ -109,9 +109,8 @@ def run_phase_transition(
     r_values,
     m_values,
     trials: int,
-    threshold: float = 1e-3,
+    threshold: float = SUCCESS_THRESHOLD,
     base_seed: int = 0,
-    family: str = "sinusoid",
     config: SolverConfig | None = None,
 ) -> PhaseGrid:
     """Noise-free success-rate table: ``trials`` independent recoveries per cell.
@@ -146,16 +145,10 @@ def run_phase_transition(
 
     def one(job) -> bool:
         i, j, t = job
-        return _phase_trial(
-            n, r_values[i], m_values[j], t, base_seed, threshold, family, lift_ctx, cfg
-        )
+        return _phase_trial(n, r_values[i], m_values[j], t, base_seed, threshold, lift_ctx, cfg)
 
-    pool_size = min(worker_count(), max(1, len(jobs)))
-    if pool_size > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            outcomes = list(pool.map(one, jobs))
-    else:
-        outcomes = [one(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=min(worker_count(), max(1, len(jobs)))) as pool:
+        outcomes = list(pool.map(one, jobs))
 
     counts = np.zeros((len(r_values), len(m_values)))
     for (i, j, _), ok in zip(jobs, outcomes):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import weight_apply
+from .hankel import _check_vector, weight_apply
 
 __all__ = [
     "MeasurementEnsemble",
@@ -94,9 +94,7 @@ def measure(ens: MeasurementEnsemble, x, noise_delta: float = 0.0, rng_seed=None
     exactly, making the noisy program's constraint hypothesis hold with
     equality.
     """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (ens.ambient_len,):
-        raise ValueError(f"expected a vector of length {ens.ambient_len}, got shape {x.shape}")
+    x = _check_vector(x, ens.ambient_len, "signal x")
     if not np.isfinite(x).all():
         raise ValueError("signal x must have finite entries")
     if noise_delta < 0:
@@ -107,13 +105,6 @@ def measure(ens: MeasurementEnsemble, x, noise_delta: float = 0.0, rng_seed=None
         eta = rng.standard_normal(ens.m) + 1j * rng.standard_normal(ens.m)
         b = b + eta * (noise_delta / np.linalg.norm(eta))
     return Observation(b, float(noise_delta))
-
-
-def _check_vector(v, length: int, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (length,):
-        raise ValueError(f"expected {name} of length {length}, got shape {v.shape}")
-    return v
 
 
 def project_affine(ens: MeasurementEnsemble, v, b) -> np.ndarray:

@@ -117,7 +117,7 @@ def matrix_pencil(x, r: int, tol: float = 1e-6) -> list[Mode]:
     Raises
     ------
     ValueError
-        If r is out of range or x is zero.
+        If r is out of range, or x is zero or not finite.
     ModeExtractionError
         If the relative re-synthesis residual exceeds ``tol`` (ill-conditioned
         pencil, understated r, or too much noise).
@@ -125,6 +125,8 @@ def matrix_pencil(x, r: int, tol: float = 1e-6) -> list[Mode]:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1 or x.shape[0] % 2 == 0 or x.shape[0] < 3:
         raise ValueError(f"expected a vector of odd length >= 3, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("signal x must have finite entries")
     n = (x.shape[0] + 1) // 2
     if not 1 <= r <= n - 1:
         raise ValueError(f"need 1 <= r <= N-1 = {n - 1}, got r = {r}")

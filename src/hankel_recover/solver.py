@@ -9,10 +9,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hankel import HankelLift, weight_apply
+from .hankel import HankelLift, _check_vector, weight_apply
 from .measurement import MeasurementEnsemble, Observation, project_affine, project_ball
 
-__all__ = ["RecoveryResult", "SolverConfig", "solve", "success", "svt"]
+__all__ = ["RecoveryResult", "SUCCESS_THRESHOLD", "SolverConfig", "solve", "success", "svt"]
+
+# The default relative-error threshold of :func:`success`, the phase
+# transition and the CLI.
+SUCCESS_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -26,14 +30,12 @@ class SolverConfig:
     tol * ||y||_2, the second taken across two plain sweeps; see
     :func:`solve`, which also accelerates the sweeps (Anderson, memory 5).
 
-    The noise level comes from ``Observation.delta``; ``delta`` here is only
-    a cross-check, and a nonzero value must match the observation's.
+    The noise level is not a solver parameter: it is ``Observation.delta``.
     """
 
     rho: float = 30.0
     max_iters: int = 2000
     tol: float = 1e-7
-    delta: float = 0.0
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -42,8 +44,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,29 +83,33 @@ def svt(x_mat, tau: float) -> np.ndarray:
     """Singular value thresholding: the prox of tau * nuclear norm at x_mat.
 
     Returns U max(S - tau, 0) V^H from the SVD of x_mat. It is computed from
-    the Hermitian eigendecomposition A^H A = V S^2 V^H (A A^H for wide
-    inputs): with V_k the eigenvectors whose eigenvalues exceed tau^2, the
-    result is A V_k diag(1 - tau / s_k) V_k^H. Forming A^H A squares the
-    condition number, so this route is taken only when the eigenvalue error
-    n * eps * s_1^2 is at most 1e-6 * tau^2; otherwise (tau = 0, or s_1 / tau
-    too large) the result comes from a full SVD.
+    the Hermitian eigendecomposition A^H A = V S^2 V^H (a wide input is
+    thresholded as its conjugate transpose): with V_k the eigenvectors whose
+    eigenvalues exceed tau^2, the result is A V_k diag(1 - tau / s_k) V_k^H.
+    Forming A^H A squares the condition number, so this route is taken only
+    when the eigenvalue error n * eps * s_1^2 is at most 1e-6 * tau^2;
+    otherwise (tau = 0, s_1 / tau too large, or A^H A overflowing) the result
+    comes from a full SVD. A non-finite entry raises ``ValueError``; the
+    input is scanned for one only when the Gram route fails.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     a = np.asarray(x_mat, dtype=complex)
-    wide = a.shape[0] < a.shape[1]
-    a_h = a.conj().T
-    w, v = np.linalg.eigh(a @ a_h if wide else a_h @ a)
-    top = w[-1] if w.size else 0.0
-    if max(a.shape) * _EPS * top <= _GRAM_GUARD * tau * tau:
+    if a.shape[0] < a.shape[1]:
+        return svt(a.conj().T, tau).conj().T
+    try:
+        w, v = np.linalg.eigh(a.conj().T @ a)
+        top = w[-1] if w.size else 0.0
+    except np.linalg.LinAlgError:
+        top = math.nan
+    if a.shape[0] * _EPS * top <= _GRAM_GUARD * tau * tau:
         first = np.searchsorted(w, tau * tau, side="right")  # w is ascending
         v = v[:, first:]
-        shrink = 1.0 - tau / np.sqrt(w[first:])
-        if wide:
-            return (v * shrink) @ (v.conj().T @ a)
         av = a @ v
-        av *= shrink
+        av *= 1.0 - tau / np.sqrt(w[first:])
         return av @ v.conj().T
+    if not math.isfinite(top) and not np.isfinite(a).all():
+        raise ValueError("svt input must have finite entries")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     return (u * np.maximum(s - tau, 0.0)) @ vh
 
@@ -247,8 +251,8 @@ def solve(
     error. The returned y is always the last projection's output, so it
     satisfies the constraint whatever the last step was.
 
-    The noise level is ``obs.delta`` (0 selects the equality-constrained
-    program). A nonzero ``cfg.delta`` must agree with it.
+    The noise level is ``obs.delta``, its only source (0 selects the
+    equality-constrained program).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -256,14 +260,8 @@ def solve(
         raise ValueError(
             f"lift context ({lift_ctx.ambient_len}) and ensemble ({ens.ambient_len}) disagree"
         )
-    b = obs.b
-    if b.shape != (ens.m,):
-        raise ValueError(f"expected observation of length {ens.m}, got shape {b.shape}")
+    b = _check_vector(obs.b, ens.m, "observation")
     delta = obs.delta
-    if cfg.delta != 0.0 and cfg.delta != delta:
-        raise ValueError(
-            f"SolverConfig.delta ({cfg.delta}) conflicts with Observation.delta ({delta})"
-        )
 
     n = lift_ctx.n
     ylen = lift_ctx.ambient_len
@@ -335,11 +333,9 @@ def solve(
     )
 
 
-def success(result: RecoveryResult, truth, threshold: float = 1e-3) -> bool:
+def success(result: RecoveryResult, truth, threshold: float = SUCCESS_THRESHOLD) -> bool:
     """True iff the relative l2 recovery error is within threshold (closed)."""
-    truth = np.asarray(truth, dtype=complex)
-    if truth.shape != result.x_hat.shape:
-        raise ValueError(f"truth shape {truth.shape} does not match {result.x_hat.shape}")
+    truth = _check_vector(truth, result.x_hat.shape[0], "truth")
     ref = np.linalg.norm(truth)
     if ref == 0.0:
         raise ValueError("truth must be nonzero")

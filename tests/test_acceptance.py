@@ -12,7 +12,6 @@ import numpy as np
 
 from hankel_recover import (
     HankelLift,
-    SolverConfig,
     derive_seed,
     emit_csv,
     hankel_map,
@@ -150,7 +149,7 @@ def test_06_noisy_stability():
         ratios = []
         for k, delta in enumerate((1e-3, 1e-2, 1e-1)):
             obs = measure(ens, x, delta, derive_seed(7, "noise", k))
-            res = solve(ens, obs, ctx, SolverConfig(delta=delta))
+            res = solve(ens, obs, ctx)
             weighted_err = np.linalg.norm(ctx.d_diag * (res.x_hat - x))
             ratios.append(weighted_err / delta)
         info["detail"] = "ratios " + " ".join(f"{r:.3f}" for r in ratios)

@@ -2,11 +2,12 @@
 explicit flags."""
 
 import dataclasses
+import inspect
 import json
 
 import pytest
 
-from hankel_recover import SolverConfig
+from hankel_recover import SolverConfig, run_phase_transition, success
 from hankel_recover.cli import build_parser, main
 
 
@@ -48,5 +49,6 @@ def test_solver_flag_defaults_are_solver_config_defaults(command):
     args = vars(build_parser().parse_args([command]))
     defaults = SolverConfig()
     for field in dataclasses.fields(SolverConfig):
-        if field.name != "delta":  # the noise level comes from the observation
-            assert args[field.name] == getattr(defaults, field.name)
+        assert args[field.name] == getattr(defaults, field.name)
+    for fn in (success, run_phase_transition):
+        assert args["threshold"] == inspect.signature(fn).parameters["threshold"].default

@@ -56,6 +56,14 @@ def test_hankel_map_modal_rank_three():
     assert numerical_rank(h) == 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_numerical_rank_rejects_non_finite_input(bad):
+    h = hankel_map(np.arange(7.0), 4)
+    h[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        numerical_rank(h)
+
+
 def test_hankel_map_rejects_bad_shapes():
     with pytest.raises(ValueError):
         hankel_map([1, 2, 3, 4], 2)

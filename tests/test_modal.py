@@ -140,6 +140,14 @@ def test_matrix_pencil_validation():
         matrix_pencil(np.zeros(5), 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_matrix_pencil_rejects_non_finite_input(bad):
+    x = synthesize(random_instance(8, 2, "sinusoid", 21))
+    x[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        matrix_pencil(x, 2)
+
+
 def test_matrix_pencil_reports_residual_on_noise():
     rng = np.random.default_rng(11)
     sig = random_instance(8, 3, "sinusoid", 13)
