@@ -14,10 +14,10 @@ import sys
 import numpy as np
 
 from .harness import derive_seed, emit_csv, run_norm_scan, run_phase_transition
-from .hankel import HankelLift
-from .measurement import measure, sample_ensemble
-from .modal import ModeExtractionError, matrix_pencil, random_instance, synthesize
-from .solver import SUCCESS_THRESHOLD, SolverConfig, solve, success
+from .hankel import HankelLift, _check_finite, _check_n
+from .measurement import _check_delta, _check_m, measure, sample_ensemble
+from .modal import ModeExtractionError, _check_r, matrix_pencil, random_instance, synthesize
+from .solver import SUCCESS_THRESHOLD, SolverConfig, _check_threshold, solve, success
 
 __all__ = ["main", "build_parser", "load_signal"]
 
@@ -170,8 +170,8 @@ def _parse(parser, argv):
 def _solver_config(parser, args) -> SolverConfig:
     try:
         return SolverConfig(rho=args.rho, max_iters=args.max_iters, tol=args.tol)
-    except ValueError as exc:
-        parser.error(str(exc))
+    except ValueError as exc:  # the message starts with the field's name
+        parser.error(f"argument --{str(exc).split()[0].replace('_', '-')}: {exc}")
 
 
 def load_signal(path) -> np.ndarray:
@@ -186,9 +186,7 @@ def load_signal(path) -> np.ndarray:
         raise ValueError(f"signal file {path} must hold 'real' and 'imag' arrays") from exc
     if real.ndim != 1 or real.shape != imag.shape:
         raise ValueError(f"signal file {path}: 'real' and 'imag' must be equal-length vectors")
-    if not (np.isfinite(real).all() and np.isfinite(imag).all()):
-        raise ValueError(f"signal file {path}: 'real' and 'imag' must have finite entries")
-    return real + 1j * imag
+    return _check_finite(real + 1j * imag, f"signal file {path}: 'real' and 'imag'")
 
 
 def _extract_modes(x_hat, r):
@@ -211,18 +209,17 @@ def _run_recover(parser, args) -> int:
     n, m, r = args.n, args.m, args.r
     if n is None or m is None:
         parser.error("--n and --m are required (flags or config file)")
-    if n < 1:
-        parser.error("--n must be >= 1")
-    if not 1 <= m <= 2 * n - 1:
-        parser.error(f"--m must satisfy 1 <= m <= 2N-1 = {2 * n - 1}")
-    if args.delta < 0:
-        parser.error("--delta must be nonnegative")
-    if args.threshold <= 0:
-        parser.error("--threshold must be positive")
     if r is None and args.input is None:
         parser.error("--r is required unless --input provides a signal")
-    if r is not None and not 1 <= r < 2 * n - 1:
-        parser.error(f"--r must satisfy 1 <= r < 2N-1 = {2 * n - 1}")
+    try:
+        _check_n(n, "--n")
+        _check_m(m, n, "--m")
+        _check_delta(args.delta, "--delta")
+        _check_threshold(args.threshold, "--threshold")
+        if r is not None:
+            _check_r(r, n, "--r")
+    except ValueError as exc:
+        parser.error(str(exc))
     cfg = _solver_config(parser, args)
 
     if args.input is not None:
@@ -285,6 +282,7 @@ def _run_recover(parser, args) -> int:
 
 def _run_phase_transition(parser, args) -> int:
     try:
+        _check_threshold(args.threshold, "--threshold")
         grid = run_phase_transition(
             args.n,
             args.r,

@@ -18,6 +18,9 @@ __all__ = [
     "weight_apply",
 ]
 
+# Rounding-error multiple under which numerical_rank counts a singular value as zero.
+_RANK_MARGIN = 1e3
+
 
 @lru_cache(maxsize=None)
 def _antidiag_lengths(n: int) -> np.ndarray:
@@ -51,6 +54,17 @@ def _adjoint_index(n: int) -> np.ndarray:
     idx = (2 * _hankel_index(n).reshape(-1, 1) + np.arange(2)).ravel()
     idx.setflags(write=False)
     return idx
+
+
+def _check_n(n, name: str = "n") -> None:
+    if not n >= 1:  # so that NaN fails
+        raise ValueError(f"{name} must be >= 1, got {n}")
+
+
+def _check_finite(a, name: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must have finite entries")
+    return a
 
 
 def _check_vector(v, length: int, name: str = "a vector") -> np.ndarray:
@@ -125,15 +139,13 @@ def toeplitz_map(x, n: int) -> np.ndarray:
     return x[n - 1 + idx[:, None] - idx[None, :]]
 
 
-def numerical_rank(x_mat, margin: float = 1e3) -> int:
-    """Singular values above max(shape) * eps * sigma_1 * margin."""
-    x_mat = np.asarray(x_mat, dtype=complex)
-    if not np.isfinite(x_mat).all():
-        raise ValueError("matrix must have finite entries")
+def numerical_rank(x_mat) -> int:
+    """Singular values above max(shape) * eps * sigma_1 * _RANK_MARGIN."""
+    x_mat = _check_finite(np.asarray(x_mat, dtype=complex), "matrix")
     s = np.linalg.svd(x_mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    cutoff = max(x_mat.shape) * np.finfo(float).eps * s[0] * margin
+    cutoff = max(x_mat.shape) * np.finfo(float).eps * s[0] * _RANK_MARGIN
     return int(np.count_nonzero(s > cutoff))
 
 
@@ -160,8 +172,7 @@ class HankelLift:
     d_diag: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_n(self.n)
         object.__setattr__(self, "ambient_len", 2 * self.n - 1)
         object.__setattr__(self, "weights", _antidiag_lengths(self.n))
         object.__setattr__(self, "d_diag", _antidiag_weights(self.n))

@@ -8,13 +8,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .hankel import HankelLift, lift
-from .measurement import measure, sample_ensemble
-from .modal import random_instance, synthesize
-from .solver import SUCCESS_THRESHOLD, SolverConfig, _norm, solve, success
+from .hankel import HankelLift, _check_n, lift
+from .measurement import _check_m, measure, sample_ensemble
+from .modal import _check_r, random_instance, synthesize
+from .solver import SUCCESS_THRESHOLD, SolverConfig, _check_threshold, _norm, solve, success
 
 __all__ = [
     "NormScan",
@@ -126,34 +127,17 @@ def run_phase_transition(
     lift_ctx = HankelLift(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    _check_threshold(threshold)
     for m in m_values:
-        if not 1 <= m <= lift_ctx.ambient_len:
-            raise ValueError(f"m must satisfy 1 <= m <= 2N-1 = {lift_ctx.ambient_len}, got {m}")
+        _check_m(m, n)
     for r in r_values:
-        if not 1 <= r < lift_ctx.ambient_len:
-            raise ValueError(f"r must satisfy 1 <= r < 2N-1 = {lift_ctx.ambient_len}, got {r}")
+        _check_r(r, n)
     cfg = config if config is not None else SolverConfig()
 
-    jobs = [
-        (i, j, t)
-        for i in range(len(r_values))
-        for j in range(len(m_values))
-        for t in range(trials)
-    ]
-
-    def one(job) -> bool:
-        i, j, t = job
-        return _phase_trial(n, r_values[i], m_values[j], t, base_seed, threshold, lift_ctx, cfg)
-
+    jobs = list(product(r_values, m_values, range(trials)))
     with ThreadPoolExecutor(max_workers=min(worker_count(), max(1, len(jobs)))) as pool:
-        outcomes = list(pool.map(one, jobs))
-
-    counts = np.zeros((len(r_values), len(m_values)))
-    for (i, j, _), ok in zip(jobs, outcomes):
-        if ok:
-            counts[i, j] += 1.0
+        outcomes = list(pool.map(lambda job: _phase_trial(n, *job, base_seed, threshold, lift_ctx, cfg), jobs))
+    rates = np.array(outcomes, float).reshape(len(r_values), len(m_values), trials).mean(axis=2)
     return PhaseGrid(
         n=n,
         r_values=r_values,
@@ -161,7 +145,7 @@ def run_phase_transition(
         trials=trials,
         threshold=float(threshold),
         base_seed=int(base_seed),
-        success_rate=counts / trials,
+        success_rate=rates,
     )
 
 
@@ -232,8 +216,8 @@ def run_norm_scan(n_values, trials: int, rng_seed: int = 0) -> NormScan:
     trials = int(trials)
     if trials < 30:
         raise ValueError("need at least 30 trials for a meaningful stderr")
-    if any(n < 1 for n in n_values):
-        raise ValueError("all n values must be >= 1")
+    for n in n_values:
+        _check_n(n)
     means = np.zeros(len(n_values))
     stderrs = np.zeros(len(n_values))
     for k, n in enumerate(n_values):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import _check_vector, weight_apply
+from .hankel import _check_finite, _check_n, _check_vector, weight_apply
 
 __all__ = [
     "MeasurementEnsemble",
@@ -28,6 +28,16 @@ _NEWTON_RTOL = 1e-13
 _NEWTON_MAX_STEPS = 50
 
 
+def _check_m(m, n: int, name: str = "m") -> None:
+    if not 1 <= m <= 2 * n - 1:  # so that NaN fails
+        raise ValueError(f"{name} must satisfy 1 <= M <= 2N-1 = {2 * n - 1}, got {m}")
+
+
+def _check_delta(delta, name: str = "delta") -> None:
+    if not 0.0 <= delta < math.inf:  # so that NaN fails
+        raise ValueError(f"{name} must be finite and nonnegative, got {delta}")
+
+
 class MeasurementEnsemble:
     """A complex Gaussian sketch matrix with a cached SVD.
 
@@ -40,12 +50,11 @@ class MeasurementEnsemble:
 
     def __init__(self, b_matrix, n: int):
         b = np.array(b_matrix, dtype=complex)
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if b.ndim != 2 or not 1 <= b.shape[0] <= 2 * n - 1 or b.shape[1] != 2 * n - 1:
-            raise ValueError(f"expected an M x {2 * n - 1} matrix with M <= {2 * n - 1}, got shape {b.shape}")
-        if not np.isfinite(b).all():
-            raise ValueError("sketch matrix must have finite entries")
+        _check_n(n)
+        if b.ndim != 2 or b.shape[1] != 2 * n - 1:
+            raise ValueError(f"expected an M x {2 * n - 1} matrix, got shape {b.shape}")
+        _check_m(b.shape[0], n)
+        _check_finite(b, "sketch matrix")
         b.setflags(write=False)
         self.b_matrix = b
         self.m = b.shape[0]
@@ -71,17 +80,14 @@ class Observation:
         b = np.asarray(self.b, dtype=complex)
         if b.ndim != 1:
             raise ValueError(f"expected a vector, got shape {b.shape}")
-        if not np.isfinite(b).all():
-            raise ValueError("observation b must have finite entries")
-        object.__setattr__(self, "b", b)
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        object.__setattr__(self, "b", _check_finite(b, "observation b"))
+        _check_delta(self.delta)
 
 
 def sample_ensemble(m: int, n: int, rng_seed=None) -> MeasurementEnsemble:
     """Draw an M x (2N-1) sketch, deterministic given the seed."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
+    _check_n(n)
+    _check_m(m, n)
     shape = (m, 2 * n - 1)
     rng = np.random.default_rng(rng_seed)
     return MeasurementEnsemble(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n)
@@ -94,11 +100,8 @@ def measure(ens: MeasurementEnsemble, x, noise_delta: float = 0.0, rng_seed=None
     exactly, making the noisy program's constraint hypothesis hold with
     equality.
     """
-    x = _check_vector(x, ens.ambient_len, "signal x")
-    if not np.isfinite(x).all():
-        raise ValueError("signal x must have finite entries")
-    if noise_delta < 0:
-        raise ValueError("noise_delta must be nonnegative")
+    x = _check_finite(_check_vector(x, ens.ambient_len, "signal x"), "signal x")
+    _check_delta(noise_delta, "noise_delta")
     b = ens.b_matrix @ weight_apply(x)
     if noise_delta > 0:
         rng = np.random.default_rng(rng_seed)
@@ -122,8 +125,7 @@ def project_ball(ens: MeasurementEnsemble, v, b, delta: float) -> np.ndarray:
     and y = v - V diag(mu s / (1 + mu s^2)) U^H (B v - b), with the
     multiplier mu > 0 from :func:`_ball_multiplier`.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    _check_delta(delta)
     v = _check_vector(v, ens.ambient_len, "v")
     b = _check_vector(b, ens.m, "b")
     if delta == 0.0:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import hankel_map
+from .hankel import _check_finite, _check_n, hankel_map
 
 __all__ = [
     "Mode",
@@ -21,6 +21,13 @@ __all__ = [
 # Damping scale for the NMR-like family: signals decay visibly over the window
 # without underflowing.
 TAU_MAX = 0.5
+# Largest relative re-synthesis residual of a fit: well above rounding, below what a wrong r leaves.
+_PENCIL_TOL = 1e-6
+
+
+def _check_r(r, n: int, name: str = "r") -> None:
+    if not 1 <= r < 2 * n - 1:  # so that NaN fails
+        raise ValueError(f"{name} must satisfy 1 <= R < 2N-1 = {2 * n - 1}, got {r}")
 
 
 class ModeExtractionError(ArithmeticError):
@@ -29,12 +36,9 @@ class ModeExtractionError(ArithmeticError):
     Carries the relative re-synthesis residual that failed the tolerance.
     """
 
-    def __init__(self, residual: float, tol: float):
-        super().__init__(
-            f"mode extraction residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
+    def __init__(self, residual: float):
+        super().__init__(f"mode extraction residual {residual:.3e} exceeds tolerance {_PENCIL_TOL:.3e}")
         self.residual = residual
-        self.tol = tol
 
 
 @dataclass(frozen=True)
@@ -55,11 +59,9 @@ class ModalSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_n(self.n)
         r = len(self.modes)
-        if not 1 <= r < 2 * self.n - 1:
-            raise ValueError(f"need 1 <= R < 2N-1 = {2 * self.n - 1}, got R = {r}")
+        _check_r(r, self.n, "R")
         if any(m.c == 0 for m in self.modes):
             raise ValueError("mode amplitudes must be nonzero")
         if len({m.z for m in self.modes}) != r:
@@ -90,10 +92,8 @@ def random_instance(n: int, r: int, family: str = "sinusoid", rng_seed=None) -> 
     Amplitudes have |c_k| = 1 + 10**(0.5*m_k) with m_k ~ U[0, 1) and phase
     uniform on [0, 2*pi).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 1 <= r < 2 * n - 1:
-        raise ValueError(f"need 1 <= r < 2N-1 = {2 * n - 1}, got r = {r}")
+    _check_n(n)
+    _check_r(r, n)
     if family not in ("sinusoid", "damped"):
         raise ValueError(f"unknown family {family!r}, expected 'sinusoid' or 'damped'")
     rng = np.random.default_rng(rng_seed)
@@ -106,7 +106,7 @@ def random_instance(n: int, r: int, family: str = "sinusoid", rng_seed=None) -> 
     return ModalSignal(tuple(Mode(complex(zk), complex(ck)) for zk, ck in zip(z, c)), n)
 
 
-def matrix_pencil(x, r: int, tol: float = 1e-6) -> list[Mode]:
+def matrix_pencil(x, r: int) -> list[Mode]:
     """Extract r (pole, amplitude) pairs from a superposition of exponentials.
 
     Poles are the generalized eigenvalues of the pencil formed by the Hankel
@@ -119,14 +119,12 @@ def matrix_pencil(x, r: int, tol: float = 1e-6) -> list[Mode]:
     ValueError
         If r is out of range, or x is zero or not finite.
     ModeExtractionError
-        If the relative re-synthesis residual exceeds ``tol`` (ill-conditioned
+        If the relative re-synthesis residual exceeds 1e-6 (ill-conditioned
         pencil, understated r, or too much noise).
     """
-    x = np.asarray(x, dtype=complex)
+    x = _check_finite(np.asarray(x, dtype=complex), "signal x")
     if x.ndim != 1 or x.shape[0] % 2 == 0 or x.shape[0] < 3:
         raise ValueError(f"expected a vector of odd length >= 3, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("signal x must have finite entries")
     n = (x.shape[0] + 1) // 2
     if not 1 <= r <= n - 1:
         raise ValueError(f"need 1 <= r <= N-1 = {n - 1}, got r = {r}")
@@ -139,14 +137,14 @@ def matrix_pencil(x, r: int, tol: float = 1e-6) -> list[Mode]:
     u, s, vh = np.linalg.svd(h0, full_matrices=False)
     if s[r - 1] <= n * np.finfo(float).eps * s[0]:
         # Rank of the data is below r; the reduced pencil would be singular.
-        raise ModeExtractionError(float("inf"), tol)
+        raise ModeExtractionError(float("inf"))
     core = (u[:, :r].conj().T @ h1 @ vh[:r, :].conj().T) / s[:r, None]
     poles = np.linalg.eigvals(core)
 
     vand = np.power.outer(poles, np.arange(x.shape[0])).T
     amps, *_ = np.linalg.lstsq(vand, x, rcond=None)
     residual = float(np.linalg.norm(vand @ amps - x) / x_norm)
-    if not np.isfinite(residual) or residual > tol:
-        raise ModeExtractionError(residual, tol)
+    if not np.isfinite(residual) or residual > _PENCIL_TOL:
+        raise ModeExtractionError(residual)
     order = np.lexsort((np.abs(poles), np.angle(poles)))
     return [Mode(complex(poles[k]), complex(amps[k])) for k in order]

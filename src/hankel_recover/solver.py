@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hankel import HankelLift, _check_vector, weight_apply
+from .hankel import HankelLift, _check_finite, _check_vector, weight_apply
 from .measurement import MeasurementEnsemble, Observation, project_affine, project_ball
 
 __all__ = ["RecoveryResult", "SUCCESS_THRESHOLD", "SolverConfig", "solve", "success", "svt"]
@@ -17,6 +17,11 @@ __all__ = ["RecoveryResult", "SUCCESS_THRESHOLD", "SolverConfig", "solve", "succ
 # The default relative-error threshold of :func:`success`, the phase
 # transition and the CLI.
 SUCCESS_THRESHOLD = 1e-3
+
+
+def _check_threshold(threshold, name: str = "threshold") -> None:
+    if not 0.0 < threshold < math.inf:  # so that NaN fails
+        raise ValueError(f"{name} must be finite and positive, got {threshold}")
 
 
 @dataclass(frozen=True)
@@ -38,12 +43,12 @@ class SolverConfig:
     tol: float = 1e-7
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be finite and positive, got {self.rho}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +97,8 @@ def svt(x_mat, tau: float) -> np.ndarray:
     comes from a full SVD. A non-finite entry raises ``ValueError``; the
     input is scanned for one only when the Gram route fails.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not tau >= 0:  # so that NaN fails
+        raise ValueError(f"tau must be nonnegative, got {tau}")
     a = np.asarray(x_mat, dtype=complex)
     if a.shape[0] < a.shape[1]:
         return svt(a.conj().T, tau).conj().T
@@ -108,8 +113,8 @@ def svt(x_mat, tau: float) -> np.ndarray:
         av = a @ v
         av *= 1.0 - tau / np.sqrt(w[first:])
         return av @ v.conj().T
-    if not math.isfinite(top) and not np.isfinite(a).all():
-        raise ValueError("svt input must have finite entries")
+    if not math.isfinite(top):
+        _check_finite(a, "svt input")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     return (u * np.maximum(s - tau, 0.0)) @ vh
 
@@ -335,6 +340,7 @@ def solve(
 
 def success(result: RecoveryResult, truth, threshold: float = SUCCESS_THRESHOLD) -> bool:
     """True iff the relative l2 recovery error is within threshold (closed)."""
+    _check_threshold(threshold)
     truth = _check_vector(truth, result.x_hat.shape[0], "truth")
     ref = np.linalg.norm(truth)
     if ref == 0.0:

@@ -36,6 +36,23 @@ def test_recover_zero_m_is_usage_error(tmp_path, capsys):
     assert "usage" in err and "--m" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "--n", "8", "--r", "1", "--m", "10", "--delta", "nan"],
+        ["recover", "--n", "8", "--r", "1", "--m", "10", "--delta", "inf"],
+        ["recover", "--n", "8", "--r", "1", "--m", "10", "--rho", "nan"],
+        ["recover", "--n", "8", "--r", "1", "--m", "10", "--tol", "nan"],
+        ["recover", "--n", "8", "--r", "1", "--m", "10", "--threshold", "nan"],
+        ["phase-transition", "--n", "8", "--r", "1", "--m", "10", "--trials", "2", "--threshold", "nan"],
+    ],
+)
+def test_non_finite_flag_is_usage_error(argv, tmp_path, capsys):
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and argv[-2] in err and "finite" in err and "Traceback" not in err
+
+
 def test_recover_missing_required_flags_is_usage_error():
     assert run_cli(["recover", "--m", "4"]) == 1
     assert run_cli(["recover", "--n", "8", "--m", "4"]) == 1  # no --r, no --input

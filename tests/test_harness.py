@@ -74,8 +74,9 @@ def test_phase_transition_validates_before_work():
         run_phase_transition(8, [15], [8], trials=5)  # r >= 2N-1
     with pytest.raises(ValueError):
         run_phase_transition(8, [2], [8], trials=0)
-    with pytest.raises(ValueError):
-        run_phase_transition(8, [2], [8], trials=5, threshold=0.0)
+    for bad in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="threshold"):
+            run_phase_transition(8, [2], [8], trials=5, threshold=bad)
 
 
 def test_phase_transition_cells_reproducible_in_isolation():

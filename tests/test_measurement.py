@@ -55,8 +55,9 @@ def test_sample_ensemble_validation():
 
 
 def test_observation_validation():
-    with pytest.raises(ValueError):
-        Observation(np.zeros(3, dtype=complex), -0.5)
+    for delta in (-0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="delta"):
+            Observation(np.zeros(3, dtype=complex), delta)
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
         with pytest.raises(ValueError, match="observation b"):
             Observation(np.array([1.0, bad, 0.0]))
@@ -95,8 +96,9 @@ def test_measure_validation():
     ens = sample_ensemble(4, 4, 0)
     with pytest.raises(ValueError):
         measure(ens, np.zeros(5))
-    with pytest.raises(ValueError):
-        measure(ens, np.zeros(7), -1.0)
+    for delta in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="noise_delta"):
+            measure(ens, np.zeros(7), delta)
     x = np.zeros(7, dtype=complex)
     x[3] = complex(np.nan, 0.0)
     with pytest.raises(ValueError, match="signal x"):
@@ -213,5 +215,6 @@ def test_project_ball_never_beats_affine_objective():
 
 def test_project_ball_validation():
     ens = sample_ensemble(4, 4, 0)
-    with pytest.raises(ValueError):
-        project_ball(ens, np.zeros(7), np.zeros(4), -1.0)
+    for delta in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="delta"):
+            project_ball(ens, np.zeros(7), np.zeros(4), delta)

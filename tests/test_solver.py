@@ -163,8 +163,9 @@ def test_svt_matches_svd_definition_on_admm_iterates(monkeypatch):
 
 
 def test_svt_rejects_negative_tau():
-    with pytest.raises(ValueError):
-        svt(np.eye(3), -0.1)
+    for tau in (-0.1, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="tau"):
+            svt(np.eye(3), tau)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -193,6 +194,13 @@ def test_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="rho"):
+            SolverConfig(rho=bad)
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=bad)
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=np.nan)
 
 
 def test_solve_square_system_is_direct():
@@ -412,6 +420,9 @@ def test_success_threshold_is_closed():
     assert success(exact, truth, 1e-12)
     with pytest.raises(ValueError):
         success(res, np.zeros(5))
+    for bad in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="threshold"):
+            success(exact, truth, bad)
 
 
 def _certify_truth(ens, y_true, r):
