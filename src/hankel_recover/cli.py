@@ -13,11 +13,11 @@ import sys
 
 import numpy as np
 
-from .harness import derive_seed, emit_csv, run_norm_scan, run_phase_transition
-from .hankel import HankelLift, _check_finite, _check_n
+from .harness import _check_scan_trials, derive_seed, emit_csv, run_norm_scan, run_phase_transition
+from .hankel import _check_count, _check_finite, weight_apply
 from .measurement import _check_delta, _check_m, measure, sample_ensemble
 from .modal import ModeExtractionError, _check_r, matrix_pencil, random_instance, synthesize
-from .solver import SUCCESS_THRESHOLD, SolverConfig, _check_threshold, solve, success
+from .solver import SUCCESS_THRESHOLD, SolverConfig, _check_positive, solve, success
 
 __all__ = ["main", "build_parser", "load_signal"]
 
@@ -121,6 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     ns.add_argument("--out", default="norm_scan.csv", help="output CSV path (default %(default)s)")
     ns.add_argument("--config", help=config_help)
 
+    # Usage errors found after parsing go through the subcommand's parser,
+    # so that they show its usage line and flags.
+    for p in (rec, pt, ns):
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -139,13 +143,13 @@ def _load_config(parser, path):
 
 def _as_flags(values, dests) -> list[str]:
     """``--key=value`` tokens for the entries of ``values`` that name a valued
-    option in ``dests`` (not the subcommand, ``--config`` or ``--full``);
-    lists become comma-separated and nulls are skipped."""
+    option in ``dests`` (not the subcommand, its parser, ``--config`` or
+    ``--full``); lists become comma-separated and nulls are skipped."""
     tokens = []
     for key, value in values.items():
         if isinstance(value, list):
             value = ",".join(str(v) for v in value)
-        if key in dests and key not in ("command", "config", "full") and value is not None:
+        if key in dests and key not in ("command", "subparser", "config", "full") and value is not None:
             tokens.append(f"--{key.replace('_', '-')}={value}")
     return tokens
 
@@ -157,21 +161,22 @@ def _parse(parser, argv):
     every value is type-checked by its option's declaration."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    config = _load_config(parser, args.config)
+    config = _load_config(args.subparser, args.config)
     presets = dict(_FULL_GRID) if hasattr(args, "full") and (args.full or config.get("full")) else {}
     presets.update(config)
     try:
         return parser.parse_args([argv[0], *_as_flags(presets, vars(args)), *argv[1:]])
     except SystemExit:  # argv parsed alone above, so the config file holds the bad value
-        sys.stderr.write(f"{parser.prog}: error: the rejected value is from config file {args.config}\n")
+        sys.stderr.write(f"{args.subparser.prog}: error: the rejected value is from config file {args.config}\n")
         raise
 
 
-def _solver_config(parser, args) -> SolverConfig:
-    try:
-        return SolverConfig(rho=args.rho, max_iters=args.max_iters, tol=args.tol)
-    except ValueError as exc:  # the message starts with the field's name
-        parser.error(f"argument --{str(exc).split()[0].replace('_', '-')}: {exc}")
+def _solver_config(args) -> SolverConfig:
+    """The solver flags as a SolverConfig, each checked under its flag name."""
+    _check_positive(args.rho, "--rho")
+    _check_count(args.max_iters, "--max-iters")
+    _check_positive(args.tol, "--tol")
+    return SolverConfig(rho=args.rho, max_iters=args.max_iters, tol=args.tol)
 
 
 def load_signal(path) -> np.ndarray:
@@ -190,17 +195,13 @@ def load_signal(path) -> np.ndarray:
 
 
 def _extract_modes(x_hat, r):
-    """Mode payload and re-synthesis residual; (None, residual) if the fit fails."""
+    """Mode payload and the pencil's re-synthesis residual; (None, residual) if the fit fails."""
     try:
-        modes = matrix_pencil(x_hat, r)
+        modes, residual = matrix_pencil(x_hat, r)
     except ModeExtractionError as exc:
         return None, exc.residual
     except ValueError:
         return None, None  # r exceeds what the pencil supports
-    z = np.array([m.z for m in modes])
-    c = np.array([m.c for m in modes])
-    fit = c @ np.power.outer(z, np.arange(x_hat.shape[0]))
-    residual = float(np.linalg.norm(fit - x_hat) / np.linalg.norm(x_hat))
     payload = [{"z": [m.z.real, m.z.imag], "c": [m.c.real, m.c.imag]} for m in modes]
     return payload, residual
 
@@ -212,15 +213,15 @@ def _run_recover(parser, args) -> int:
     if r is None and args.input is None:
         parser.error("--r is required unless --input provides a signal")
     try:
-        _check_n(n, "--n")
+        _check_count(n, "--n")
         _check_m(m, n, "--m")
         _check_delta(args.delta, "--delta")
-        _check_threshold(args.threshold, "--threshold")
+        _check_positive(args.threshold, "--threshold")
         if r is not None:
             _check_r(r, n, "--r")
+        cfg = _solver_config(args)
     except ValueError as exc:
         parser.error(str(exc))
-    cfg = _solver_config(parser, args)
 
     if args.input is not None:
         try:
@@ -233,13 +234,12 @@ def _run_recover(parser, args) -> int:
         sig = random_instance(n, r, args.family, derive_seed(args.seed, "signal"))
         x_true = synthesize(sig)
 
-    lift_ctx = HankelLift(n)
     ens = sample_ensemble(m, n, derive_seed(args.seed, "ensemble"))
     obs = measure(ens, x_true, args.delta, derive_seed(args.seed, "noise"))
-    result = solve(ens, obs, lift_ctx, cfg)
+    result = solve(ens, obs, cfg)
 
     rel_error = float(np.linalg.norm(result.x_hat - x_true) / np.linalg.norm(x_true))
-    weighted_error = float(np.linalg.norm(lift_ctx.d_diag * (result.x_hat - x_true)))
+    weighted_error = float(np.linalg.norm(weight_apply(result.x_hat - x_true)))
     modes = pencil_residual = None
     if r is not None:
         modes, pencil_residual = _extract_modes(result.x_hat, r)
@@ -282,7 +282,13 @@ def _run_recover(parser, args) -> int:
 
 def _run_phase_transition(parser, args) -> int:
     try:
-        _check_threshold(args.threshold, "--threshold")
+        _check_count(args.n, "--n")
+        for m in args.m:
+            _check_m(m, args.n, "--m")
+        for r in args.r:
+            _check_r(r, args.n, "--r")
+        _check_count(args.trials, "--trials")
+        _check_positive(args.threshold, "--threshold")
         grid = run_phase_transition(
             args.n,
             args.r,
@@ -290,9 +296,9 @@ def _run_phase_transition(parser, args) -> int:
             args.trials,
             threshold=args.threshold,
             base_seed=args.seed,
-            config=_solver_config(parser, args),
+            config=_solver_config(args),
         )
-    except ValueError as exc:
+    except ValueError as exc:  # the flags' rules, or a malformed HANKEL_RECOVER_THREADS
         parser.error(str(exc))
     emit_csv(grid, args.out)
     print(
@@ -308,9 +314,12 @@ def _run_phase_transition(parser, args) -> int:
 
 def _run_norm_scan(parser, args) -> int:
     try:
-        scan = run_norm_scan(args.n, args.trials, args.seed)
+        for n in args.n:
+            _check_count(n, "--n")
+        _check_scan_trials(args.trials, "--trials")
     except ValueError as exc:
         parser.error(str(exc))
+    scan = run_norm_scan(args.n, args.trials, args.seed)
     emit_csv(scan, args.out)
     for k, n in enumerate(scan.n_values):
         print(f"N={n}: mean spectral norm {scan.means[k]:.6f} +- {scan.stderrs[k]:.6f}")
@@ -319,13 +328,12 @@ def _run_norm_scan(parser, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = _parse(parser, argv)
+    args = _parse(build_parser(), argv)
     if args.command == "recover":
-        return _run_recover(parser, args)
+        return _run_recover(args.subparser, args)
     if args.command == "phase-transition":
-        return _run_phase_transition(parser, args)
-    return _run_norm_scan(parser, args)
+        return _run_phase_transition(args.subparser, args)
+    return _run_norm_scan(args.subparser, args)
 
 
 if __name__ == "__main__":

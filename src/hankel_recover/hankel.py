@@ -3,7 +3,7 @@ operator and its adjoint, and the Hankel-to-Toeplitz flip."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,18 +23,11 @@ _RANK_MARGIN = 1e3
 
 
 @lru_cache(maxsize=None)
-def _antidiag_lengths(n: int) -> np.ndarray:
-    """K_j, the number of entries on the j-th anti-diagonal of an N x N matrix."""
-    j = np.arange(2 * n - 1)
-    k = np.minimum(j + 1, 2 * n - 1 - j)
-    k.setflags(write=False)
-    return k
-
-
-@lru_cache(maxsize=None)
 def _antidiag_weights(n: int) -> np.ndarray:
-    """sqrt(K_j), the diagonal of the weighting matrix for side length n."""
-    d = np.sqrt(_antidiag_lengths(n).astype(float))
+    """sqrt(K_j), with K_j the number of entries on the j-th anti-diagonal of
+    an N x N matrix: the diagonal of the weighting matrix for side length n."""
+    j = np.arange(2 * n - 1)
+    d = np.sqrt(np.minimum(j + 1, 2 * n - 1 - j).astype(float))
     d.setflags(write=False)
     return d
 
@@ -56,9 +49,9 @@ def _adjoint_index(n: int) -> np.ndarray:
     return idx
 
 
-def _check_n(n, name: str = "n") -> None:
-    if not n >= 1:  # so that NaN fails
-        raise ValueError(f"{name} must be >= 1, got {n}")
+def _check_count(value, name: str) -> None:
+    if not value >= 1:  # so that NaN fails
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _check_finite(a, name: str) -> np.ndarray:
@@ -149,33 +142,16 @@ def numerical_rank(x_mat) -> int:
     return int(np.count_nonzero(s > cutoff))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HankelLift:
-    """Lifting context for N x N Hankel matrices.
-
-    Attributes
-    ----------
-    n : int
-        Matrix side length; signals live in C^(2N-1).
-    ambient_len : int
-        2N - 1.
-    weights : ndarray
-        Anti-diagonal lengths K_j (a palindrome, max N, min 1).
-    d_diag : ndarray
-        sqrt(K_j), the diagonal that converts a raw signal x into the
-        isometric variable y = d_diag * x.
-    """
+    """The isometric lift G and its adjoint G* for side length ``n``, with
+    the input checked against n: the two operators of :func:`solve`'s loop,
+    which builds one from its ensemble."""
 
     n: int
-    ambient_len: int = field(init=False)
-    weights: np.ndarray = field(init=False)
-    d_diag: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _check_n(self.n)
-        object.__setattr__(self, "ambient_len", 2 * self.n - 1)
-        object.__setattr__(self, "weights", _antidiag_lengths(self.n))
-        object.__setattr__(self, "d_diag", _antidiag_weights(self.n))
+        _check_count(self.n, "n")
 
     def lift(self, y) -> np.ndarray:
         return lift(y, self.n)

@@ -12,10 +12,10 @@ from itertools import product
 
 import numpy as np
 
-from .hankel import HankelLift, _check_n, lift
+from .hankel import _check_count, lift
 from .measurement import _check_m, measure, sample_ensemble
 from .modal import _check_r, random_instance, synthesize
-from .solver import SUCCESS_THRESHOLD, SolverConfig, _check_threshold, _norm, solve, success
+from .solver import SUCCESS_THRESHOLD, SolverConfig, _check_positive, _norm, solve, success
 
 __all__ = [
     "NormScan",
@@ -97,12 +97,17 @@ class NormScan:
     seed: int
 
 
-def _phase_trial(n, r, m, trial, base_seed, threshold, lift_ctx, cfg) -> bool:
+def _check_scan_trials(trials, name: str) -> None:
+    if not trials >= 30:  # so that NaN fails
+        raise ValueError(f"{name} must be >= 30 for a meaningful stderr, got {trials}")
+
+
+def _phase_trial(n, r, m, trial, base_seed, threshold, cfg) -> bool:
     sig = random_instance(n, r, rng_seed=derive_seed(base_seed, "signal", r, m, trial))
     x_true = synthesize(sig)
     ens = sample_ensemble(m, n, derive_seed(base_seed, "ensemble", r, m, trial))
     obs = measure(ens, x_true)
-    return success(solve(ens, obs, lift_ctx, cfg), x_true, threshold)
+    return success(solve(ens, obs, cfg), x_true, threshold)
 
 
 def run_phase_transition(
@@ -124,10 +129,9 @@ def run_phase_transition(
     r_values = tuple(int(r) for r in r_values)
     m_values = tuple(int(m) for m in m_values)
     trials = int(trials)
-    lift_ctx = HankelLift(n)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _check_threshold(threshold)
+    _check_count(n, "n")
+    _check_count(trials, "trials")
+    _check_positive(threshold, "threshold")
     for m in m_values:
         _check_m(m, n)
     for r in r_values:
@@ -136,7 +140,7 @@ def run_phase_transition(
 
     jobs = list(product(r_values, m_values, range(trials)))
     with ThreadPoolExecutor(max_workers=min(worker_count(), max(1, len(jobs)))) as pool:
-        outcomes = list(pool.map(lambda job: _phase_trial(n, *job, base_seed, threshold, lift_ctx, cfg), jobs))
+        outcomes = list(pool.map(lambda job: _phase_trial(n, *job, base_seed, threshold, cfg), jobs))
     rates = np.array(outcomes, float).reshape(len(r_values), len(m_values), trials).mean(axis=2)
     return PhaseGrid(
         n=n,
@@ -214,10 +218,9 @@ def run_norm_scan(n_values, trials: int, rng_seed: int = 0) -> NormScan:
     """
     n_values = tuple(int(v) for v in n_values)
     trials = int(trials)
-    if trials < 30:
-        raise ValueError("need at least 30 trials for a meaningful stderr")
+    _check_scan_trials(trials, "trials")
     for n in n_values:
-        _check_n(n)
+        _check_count(n, "n")
     means = np.zeros(len(n_values))
     stderrs = np.zeros(len(n_values))
     for k, n in enumerate(n_values):

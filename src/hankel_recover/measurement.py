@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import _check_finite, _check_n, _check_vector, weight_apply
+from .hankel import _check_count, _check_finite, _check_vector, weight_apply
 
 __all__ = [
     "MeasurementEnsemble",
@@ -50,7 +50,7 @@ class MeasurementEnsemble:
 
     def __init__(self, b_matrix, n: int):
         b = np.array(b_matrix, dtype=complex)
-        _check_n(n)
+        _check_count(n, "n")
         if b.ndim != 2 or b.shape[1] != 2 * n - 1:
             raise ValueError(f"expected an M x {2 * n - 1} matrix, got shape {b.shape}")
         _check_m(b.shape[0], n)
@@ -86,7 +86,7 @@ class Observation:
 
 def sample_ensemble(m: int, n: int, rng_seed=None) -> MeasurementEnsemble:
     """Draw an M x (2N-1) sketch, deterministic given the seed."""
-    _check_n(n)
+    _check_count(n, "n")
     _check_m(m, n)
     shape = (m, 2 * n - 1)
     rng = np.random.default_rng(rng_seed)

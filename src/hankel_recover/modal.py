@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import _check_finite, _check_n, hankel_map
+from .hankel import _check_count, _check_finite, hankel_map
 
 __all__ = [
     "Mode",
@@ -59,7 +59,7 @@ class ModalSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
-        _check_n(self.n)
+        _check_count(self.n, "n")
         r = len(self.modes)
         _check_r(r, self.n, "R")
         if any(m.c == 0 for m in self.modes):
@@ -92,7 +92,7 @@ def random_instance(n: int, r: int, family: str = "sinusoid", rng_seed=None) -> 
     Amplitudes have |c_k| = 1 + 10**(0.5*m_k) with m_k ~ U[0, 1) and phase
     uniform on [0, 2*pi).
     """
-    _check_n(n)
+    _check_count(n, "n")
     _check_r(r, n)
     if family not in ("sinusoid", "damped"):
         raise ValueError(f"unknown family {family!r}, expected 'sinusoid' or 'damped'")
@@ -106,13 +106,14 @@ def random_instance(n: int, r: int, family: str = "sinusoid", rng_seed=None) -> 
     return ModalSignal(tuple(Mode(complex(zk), complex(ck)) for zk, ck in zip(z, c)), n)
 
 
-def matrix_pencil(x, r: int) -> list[Mode]:
+def matrix_pencil(x, r: int) -> tuple[list[Mode], float]:
     """Extract r (pole, amplitude) pairs from a superposition of exponentials.
 
     Poles are the generalized eigenvalues of the pencil formed by the Hankel
     matrix of x with its last/first row dropped, reduced to rank r through a
     truncated SVD; amplitudes come from a Vandermonde least-squares fit.
-    Modes are returned sorted by pole phase, then modulus.
+    Returns the modes, sorted by pole phase, then modulus, and the relative
+    re-synthesis residual ||x_fit - x|| / ||x|| of the fit.
 
     Raises
     ------
@@ -147,4 +148,4 @@ def matrix_pencil(x, r: int) -> list[Mode]:
     if not np.isfinite(residual) or residual > _PENCIL_TOL:
         raise ModeExtractionError(residual)
     order = np.lexsort((np.abs(poles), np.angle(poles)))
-    return [Mode(complex(poles[k]), complex(amps[k])) for k in order]
+    return [Mode(complex(poles[k]), complex(amps[k])) for k in order], residual

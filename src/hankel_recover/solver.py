@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hankel import HankelLift, _check_finite, _check_vector, weight_apply
+from .hankel import HankelLift, _check_count, _check_finite, _check_vector, weight_apply
 from .measurement import MeasurementEnsemble, Observation, project_affine, project_ball
 
 __all__ = ["RecoveryResult", "SUCCESS_THRESHOLD", "SolverConfig", "solve", "success", "svt"]
@@ -19,9 +19,9 @@ __all__ = ["RecoveryResult", "SUCCESS_THRESHOLD", "SolverConfig", "solve", "succ
 SUCCESS_THRESHOLD = 1e-3
 
 
-def _check_threshold(threshold, name: str = "threshold") -> None:
-    if not 0.0 < threshold < math.inf:  # so that NaN fails
-        raise ValueError(f"{name} must be finite and positive, got {threshold}")
+def _check_positive(value, name: str) -> None:
+    if not 0.0 < value < math.inf:  # so that NaN fails
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,9 @@ class SolverConfig:
     tol: float = 1e-7
 
     def __post_init__(self):
-        if not 0.0 < self.rho < math.inf:
-            raise ValueError(f"rho must be finite and positive, got {self.rho}")
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        _check_positive(self.rho, "rho")
+        _check_count(self.max_iters, "max_iters")
+        _check_positive(self.tol, "tol")
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,12 +219,7 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
-def solve(
-    ens: MeasurementEnsemble,
-    obs: Observation,
-    lift_ctx: HankelLift,
-    cfg: SolverConfig | None = None,
-) -> RecoveryResult:
+def solve(ens: MeasurementEnsemble, obs: Observation, cfg: SolverConfig | None = None) -> RecoveryResult:
     """Minimize the nuclear norm of the lifted signal subject to data consistency.
 
     Splitting Z = G y with scaled dual U, each sweep does
@@ -257,19 +249,17 @@ def solve(
     satisfies the constraint whatever the last step was.
 
     The noise level is ``obs.delta``, its only source (0 selects the
-    equality-constrained program).
+    equality-constrained program), and the side length N is ``ens.n``, which
+    fixes the lift G.
     """
     if cfg is None:
         cfg = SolverConfig()
-    if lift_ctx.ambient_len != ens.ambient_len:
-        raise ValueError(
-            f"lift context ({lift_ctx.ambient_len}) and ensemble ({ens.ambient_len}) disagree"
-        )
     b = _check_vector(obs.b, ens.m, "observation")
     delta = obs.delta
 
-    n = lift_ctx.n
-    ylen = lift_ctx.ambient_len
+    n = ens.n
+    ylen = ens.ambient_len
+    lift_ctx = HankelLift(n)
     tau = _norm(b) / (cfg.rho * math.sqrt(ens.m))  # 1 / rho_eff
     # Each sweep writes its image (U, y, G*U) and its step Z - G y into the
     # next slot of the acceleration ring; an extrapolated state has its own.
@@ -340,7 +330,7 @@ def solve(
 
 def success(result: RecoveryResult, truth, threshold: float = SUCCESS_THRESHOLD) -> bool:
     """True iff the relative l2 recovery error is within threshold (closed)."""
-    _check_threshold(threshold)
+    _check_positive(threshold, "threshold")
     truth = _check_vector(truth, result.x_hat.shape[0], "truth")
     ref = np.linalg.norm(truth)
     if ref == 0.0:

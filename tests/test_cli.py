@@ -33,7 +33,7 @@ def test_recover_zero_m_is_usage_error(tmp_path, capsys):
     code = run_cli(["recover", "--n", "16", "--r", "2", "--m", "0"])
     assert code == 1
     err = capsys.readouterr().err
-    assert "usage" in err and "--m" in err
+    assert "usage: hankel-recover recover" in err and "error: --m must" in err
 
 
 @pytest.mark.parametrize(
@@ -50,7 +50,27 @@ def test_recover_zero_m_is_usage_error(tmp_path, capsys):
 def test_non_finite_flag_is_usage_error(argv, tmp_path, capsys):
     assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert "usage" in err and argv[-2] in err and "finite" in err and "Traceback" not in err
+    assert "usage" in err and f"error: {argv[-2]} must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "--n", "8", "--r", "1", "--m", "10", "--delta", "nan"],
+        ["recover", "--n", "8", "--r", "1", "--m", "10", "--max-iters", "0"],
+        ["recover", "--config", "missing.json"],
+        ["phase-transition", "--n", "8", "--r", "1", "--m", "40", "--trials", "2"],
+        ["norm-scan", "--trials", "5"],
+    ],
+)
+def test_usage_error_shows_the_subcommands_usage(argv, tmp_path, monkeypatch, capsys):
+    # errors found after parsing (flag rules, solver flags, config file) show
+    # the subcommand's usage with its flags, not the top-level one
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert f"usage: hankel-recover {argv[0]} [-h]" in err
+    assert f"hankel-recover {argv[0]}: error: " in err
 
 
 def test_recover_missing_required_flags_is_usage_error():
@@ -142,19 +162,35 @@ def test_phase_transition_subcommand(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_phase_transition_usage_error():
-    assert run_cli(["phase-transition", "--n", "8", "--m", "99", "--trials", "2"]) == 1
+def test_phase_transition_usage_error(tmp_path, capsys):
+    # each bad value is reported under its flag's name, before any trial runs
+    out = tmp_path / "grid.csv"
+    for argv, flag in (
+        (["--n", "8", "--m", "99", "--trials", "2"], "--m"),
+        (["--n", "8", "--r", "1", "--m", "40", "--trials", "2"], "--m"),
+        (["--n", "0", "--r", "1", "--m", "1", "--trials", "2"], "--n"),
+        (["--n", "8", "--r", "15", "--m", "8", "--trials", "2"], "--r"),
+        (["--n", "8", "--r", "1", "--m", "8", "--trials", "0"], "--trials"),
+        (["--n", "8", "--r", "1", "--m", "8", "--trials", "2", "--max-iters", "0"], "--max-iters"),
+    ):
+        assert run_cli(["phase-transition", *argv, "--out", str(out)]) == 1
+        assert f"error: {flag} must" in capsys.readouterr().err
+        assert not out.exists()
     assert run_cli(["phase-transition", "--m", "oops"]) == 1
 
 
-def test_norm_scan_subcommand(tmp_path):
+def test_norm_scan_subcommand(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code = run_cli(["norm-scan", "--n", "1,4", "--trials", "40", "--seed", "2", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "N,trials,mean_norm,stderr"
     assert len(lines) == 3
+    capsys.readouterr()
     assert run_cli(["norm-scan", "--n", "4", "--trials", "5"]) == 1  # too few trials
+    assert "error: --trials must be >= 30" in capsys.readouterr().err
+    assert run_cli(["norm-scan", "--n", "4,0", "--trials", "40"]) == 1
+    assert "error: --n must be >= 1" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_1():
@@ -182,7 +218,7 @@ def test_import_does_not_load_scipy():
          "import sys, hankel_recover as hr, hankel_recover.cli; "
          "ens = hr.sample_ensemble(10, 8, 0); "
          "x = hr.synthesize(hr.random_instance(8, 1, 'sinusoid', 0)); "
-         "hr.solve(ens, hr.measure(ens, x, 1e-2, rng_seed=1), hr.HankelLift(8)); "
+         "hr.solve(ens, hr.measure(ens, x, 1e-2, rng_seed=1)); "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True,
         text=True,

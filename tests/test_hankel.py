@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankel_recover import (
     HankelLift,
@@ -25,6 +27,13 @@ def _rand_vec(rng, length):
 
 def _rand_mat(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+# Side length, generator seed and data scale of the property tests below.
+_sides = st.integers(1, 40)
+_seeds = st.integers(0, 2**32 - 1)
+_scales = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+_property = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def test_hankel_map_small():
@@ -79,11 +88,11 @@ def test_lift_small_cases():
     assert np.allclose(lift([c], 1), [[c]])
 
 
-def test_lift_is_isometric():
-    rng = np.random.default_rng(1)
-    for n in (1, 2, 8, 31):
-        y = _rand_vec(rng, 2 * n - 1)
-        assert abs(np.linalg.norm(lift(y, n)) - np.linalg.norm(y)) <= 1e-12 * np.linalg.norm(y)
+@_property
+@given(n=_sides, seed=_seeds, scale=_scales)
+def test_lift_is_isometric(n, seed, scale):
+    y = scale * _rand_vec(np.random.default_rng(seed), 2 * n - 1)
+    assert abs(np.linalg.norm(lift(y, n)) - np.linalg.norm(y)) <= 1e-12 * np.linalg.norm(y)
 
 
 def test_lift_adjoint_small():
@@ -97,29 +106,31 @@ def test_lift_adjoint_inverts_lift():
         assert np.linalg.norm(lift_adjoint(lift(y, n)) - y) <= 1e-12 * np.linalg.norm(y)
 
 
-def test_adjoint_identity():
-    rng = np.random.default_rng(3)
-    for n in (2, 8, 16):
-        for _ in range(20):
-            y = _rand_vec(rng, 2 * n - 1)
-            x_mat = _rand_mat(rng, n)
-            lhs = _inner(lift(y, n), x_mat)
-            rhs = _inner(y, lift_adjoint(x_mat))
-            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+@_property
+@given(n=_sides, seed=_seeds, scale=_scales)
+def test_adjoint_identity(n, seed, scale):
+    # <G y, X> = <y, G* X>; both sides round at about eps * ||y|| ||X||,
+    # the bound on either (Cauchy-Schwarz, G being an isometry)
+    rng = np.random.default_rng(seed)
+    y = scale * _rand_vec(rng, 2 * n - 1)
+    x_mat = _rand_mat(rng, n)
+    lhs = _inner(lift(y, n), x_mat)
+    rhs = _inner(y, lift_adjoint(x_mat))
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(y) * np.linalg.norm(x_mat)
 
 
-def test_projector_idempotent_and_self_adjoint():
-    rng = np.random.default_rng(4)
-    n = 8
-    for _ in range(10):
-        x_mat = _rand_mat(rng, n)
-        y_mat = _rand_mat(rng, n)
-        proj = lift(lift_adjoint(x_mat), n)
-        again = lift(lift_adjoint(proj), n)
-        assert np.linalg.norm(again - proj) <= 1e-12 * np.linalg.norm(x_mat)
-        lhs = _inner(proj, y_mat)
-        rhs = _inner(x_mat, lift(lift_adjoint(y_mat), n))
-        assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
+@_property
+@given(n=_sides, seed=_seeds, scale=_scales)
+def test_projector_idempotent_and_self_adjoint(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    x_mat = scale * _rand_mat(rng, n)
+    y_mat = _rand_mat(rng, n)
+    proj = lift(lift_adjoint(x_mat), n)
+    again = lift(lift_adjoint(proj), n)
+    assert np.linalg.norm(again - proj) <= 1e-12 * np.linalg.norm(x_mat)
+    lhs = _inner(proj, y_mat)
+    rhs = _inner(x_mat, lift(lift_adjoint(y_mat), n))
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(x_mat) * np.linalg.norm(y_mat)
 
 
 def test_projected_matrix_is_hankel():
@@ -133,21 +144,23 @@ def test_projected_matrix_is_hankel():
 
 
 def test_weight_apply_diagonal_values():
-    ctx = HankelLift(4)
+    d_diag = weight_apply(np.ones(7))
+    weights = [1, 2, 3, 4, 3, 2, 1]  # the anti-diagonal lengths K_j for N = 4
     expected = [1.0, np.sqrt(2.0), np.sqrt(3.0), 2.0, np.sqrt(3.0), np.sqrt(2.0), 1.0]
-    assert np.allclose(ctx.d_diag, expected, atol=0)
-    assert np.array_equal(ctx.weights, [1, 2, 3, 4, 3, 2, 1])
-    assert np.array_equal(ctx.d_diag, np.sqrt(ctx.weights))
-    assert np.allclose(ctx.d_diag**2, ctx.weights, rtol=4 * np.finfo(float).eps)
+    assert np.allclose(d_diag, expected, atol=0)
+    assert np.array_equal(d_diag, np.sqrt(weights))
+    assert np.allclose(d_diag.real**2, weights, rtol=4 * np.finfo(float).eps)
+    assert np.array_equal(weight_apply(np.ones(7), inverse=True), 1.0 / np.sqrt(weights))
 
 
 def test_weight_palindrome_and_extremes():
     for n in (1, 2, 5, 16):
-        ctx = HankelLift(n)
-        assert np.array_equal(ctx.weights, ctx.weights[::-1])
-        assert ctx.weights.max() == n
-        assert ctx.weights.min() == 1
-        assert ctx.ambient_len == 2 * n - 1
+        weights = weight_apply(np.ones(2 * n - 1)).real ** 2
+        assert np.array_equal(weights, weights[::-1])
+        assert np.rint(weights.max()) == n
+        assert weights.min() == 1
+        with pytest.raises(ValueError, match="odd length"):  # signals have length 2N-1
+            weight_apply(np.ones(2 * n))
 
 
 def test_weight_apply_zero_and_round_trip():
@@ -195,11 +208,11 @@ def test_modal_rank_invariant():
 def test_lift_context_methods_agree_with_free_functions():
     rng = np.random.default_rng(9)
     ctx = HankelLift(6)
-    y = _rand_vec(rng, ctx.ambient_len)
+    y = _rand_vec(rng, 11)
     x_mat = _rand_mat(rng, 6)
     assert np.array_equal(ctx.lift(y), lift(y, 6))
     assert np.array_equal(ctx.lift_adjoint(x_mat), lift_adjoint(x_mat))
-    assert np.array_equal(ctx.d_diag * y, weight_apply(y))
+    assert np.array_equal(weight_apply(y), np.sqrt([1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1]) * y)
     with pytest.raises(ValueError):
         ctx.lift(np.ones(9))
     with pytest.raises(ValueError):

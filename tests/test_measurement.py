@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from hankel_recover import (
@@ -17,6 +19,17 @@ from hankel_recover.measurement import _ball_multiplier
 
 def _rand_vec(rng, length):
     return rng.standard_normal(length) + 1j * rng.standard_normal(length)
+
+
+@st.composite
+def _sketches(draw):
+    """(N, M, seed) with 1 <= M <= 2N-1."""
+    n = draw(st.integers(1, 24))
+    return n, draw(st.integers(1, 2 * n - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+_scales = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+_property = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def test_sample_ensemble_deterministic():
@@ -105,11 +118,14 @@ def test_measure_validation():
         measure(ens, x)
 
 
-def test_project_affine_satisfies_constraint():
-    rng = np.random.default_rng(6)
-    ens = sample_ensemble(11, 8, 7)
-    v = _rand_vec(rng, 15)
-    b = _rand_vec(rng, 11)
+@_property
+@given(sketch=_sketches(), scale=_scales)
+def test_project_affine_satisfies_constraint(sketch, scale):
+    n, m, seed = sketch
+    rng = np.random.default_rng(seed)
+    ens = sample_ensemble(m, n, rng)
+    v = scale * _rand_vec(rng, 2 * n - 1)
+    b = scale * _rand_vec(rng, m)
     y = project_affine(ens, v, b)
     assert np.linalg.norm(ens.b_matrix @ y - b) <= 1e-9 * np.linalg.norm(b)
 
@@ -164,21 +180,27 @@ def test_project_ball_zero_delta_matches_affine():
     assert np.linalg.norm(project_ball(ens, v, b, 0.0) - project_affine(ens, v, b)) <= 1e-8
 
 
-def test_project_ball_feasibility_and_kkt():
-    rng = np.random.default_rng(12)
-    ens = sample_ensemble(10, 8, 13)
-    for delta in (1e-3, 0.2, 2.0):
-        v = _rand_vec(rng, 15)
-        b = _rand_vec(rng, 10)
-        y = project_ball(ens, v, b, delta)
-        resid = ens.b_matrix @ y - b
-        assert abs(np.linalg.norm(resid) - delta) <= 1e-9 * max(1.0, delta)
-        # KKT: y - v = -mu * B^H (B y - b) for some mu >= 0
-        grad = ens.b_matrix.conj().T @ resid
-        step = y - v
-        mu = -np.real(np.vdot(grad, step)) / np.linalg.norm(grad) ** 2
-        assert mu > 0
-        assert np.linalg.norm(step + mu * grad) <= 1e-6 * np.linalg.norm(step)
+@_property
+@given(sketch=_sketches(), scale=_scales, ratio=st.floats(1e-6, 0.99))
+def test_project_ball_feasibility_and_kkt(sketch, scale, ratio):
+    # delta is a fraction of v's misfit ||B v - b||, so v lies outside the ball
+    n, m, seed = sketch
+    rng = np.random.default_rng(seed)
+    ens = sample_ensemble(m, n, rng)
+    v = scale * _rand_vec(rng, 2 * n - 1)
+    b = scale * _rand_vec(rng, m)
+    gap = np.linalg.norm(ens.b_matrix @ v - b)
+    delta = ratio * gap
+    y = project_ball(ens, v, b, delta)
+    resid = ens.b_matrix @ y - b
+    # the residual's evaluation rounds at about 1e-15 of the gap
+    assert abs(np.linalg.norm(resid) - delta) <= 1e-9 * delta + 1e-13 * gap
+    # KKT: y - v = -mu * B^H (B y - b) for some mu >= 0
+    grad = ens.b_matrix.conj().T @ resid
+    step = y - v
+    mu = -np.real(np.vdot(grad, step)) / np.linalg.norm(grad) ** 2
+    assert mu > 0
+    assert np.linalg.norm(step + mu * grad) <= 1e-6 * np.linalg.norm(step)
 
 
 def test_project_ball_multiplier_matches_brent():

@@ -102,7 +102,8 @@ def test_random_instance_validation():
 
 
 def test_matrix_pencil_constant_signal():
-    modes = matrix_pencil(np.ones(5), 1)
+    modes, residual = matrix_pencil(np.ones(5), 1)
+    assert residual < 1e-12
     assert len(modes) == 1
     assert abs(modes[0].z - 1.0) < 1e-10
     assert abs(modes[0].c - 1.0) < 1e-10
@@ -110,24 +111,26 @@ def test_matrix_pencil_constant_signal():
 
 def test_matrix_pencil_two_sinusoids():
     sig = random_instance(8, 2, "sinusoid", 5)
-    modes = matrix_pencil(synthesize(sig), 2)
+    modes, _ = matrix_pencil(synthesize(sig), 2)
     assert _match_poles(modes, sig.modes) < 1e-8
 
 
 def test_matrix_pencil_damped_modes():
     sig = random_instance(8, 3, "damped", 9)
     x = synthesize(sig)
-    modes = matrix_pencil(x, 3)
+    modes, residual = matrix_pencil(x, 3)
     assert all(abs(m.z) < 1.0 for m in modes)
     fit = synthesize(ModalSignal(tuple(modes), 8))
-    assert np.linalg.norm(fit - x) / np.linalg.norm(x) < 1e-6
+    resynthesized = np.linalg.norm(fit - x) / np.linalg.norm(x)
+    assert resynthesized < 1e-6
+    assert abs(residual - resynthesized) <= 1e-12  # the residual the pencil returns is the fit's
 
 
 def test_matrix_pencil_round_trip_both_families():
     for k, family in enumerate(["sinusoid", "damped"] * 3):
         r = 1 + k % 4
         sig = random_instance(16, r, family, 300 + k)
-        modes = matrix_pencil(synthesize(sig), r)
+        modes, _ = matrix_pencil(synthesize(sig), r)
         assert _match_poles(modes, sig.modes) < 1e-8
 
 
@@ -162,8 +165,8 @@ def test_matrix_pencil_reports_residual_on_noise():
 def test_matrix_pencil_order_is_stable():
     sig = random_instance(12, 4, "sinusoid", 21)
     x = synthesize(sig)
-    first = matrix_pencil(x, 4)
-    second = matrix_pencil(x.copy(), 4)
+    first, _ = matrix_pencil(x, 4)
+    second, _ = matrix_pencil(x.copy(), 4)
     assert first == second
     phases = [np.angle(m.z) for m in first]
     assert phases == sorted(phases)

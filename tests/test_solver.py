@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankel_recover import (
-    HankelLift,
     Observation,
     RecoveryResult,
     SolverConfig,
@@ -156,7 +155,7 @@ def test_svt_matches_svd_definition_on_admm_iterates(monkeypatch):
     for r, m, seed in ((2, 12, 5), (3, 60, 6)):
         x = synthesize(random_instance(n, r, "sinusoid", seed))
         ens = sample_ensemble(m, n, seed + 100)
-        sweeps += solve(ens, measure(ens, x), HankelLift(n), SolverConfig(max_iters=40)).iterations
+        sweeps += solve(ens, measure(ens, x), SolverConfig(max_iters=40)).iterations
     assert len(inputs) == sweeps >= 75  # one svt per sweep
     for x_mat, tau in inputs[1::3]:
         _assert_matches_svd_definition(svt(x_mat, tau), x_mat, tau)
@@ -209,7 +208,7 @@ def test_solve_square_system_is_direct():
     x = synthesize(sig)
     ens = sample_ensemble(2 * n - 1, n, 32)
     obs = measure(ens, x)
-    res = solve(ens, obs, HankelLift(n))
+    res = solve(ens, obs)
     direct = weight_apply(np.linalg.solve(ens.b_matrix, obs.b), inverse=True)
     assert np.linalg.norm(res.x_hat - direct) <= 1e-8 * np.linalg.norm(direct)
     assert res.converged
@@ -222,7 +221,7 @@ def test_solve_exact_recovery_instance():
     x = synthesize(sig)
     ens = sample_ensemble(24, n, 42)
     obs = measure(ens, x)
-    res = solve(ens, obs, HankelLift(n))
+    res = solve(ens, obs)
     rel = np.linalg.norm(res.x_hat - x) / np.linalg.norm(x)
     assert rel < 1e-4
     assert res.converged
@@ -240,7 +239,7 @@ def test_solve_zero_data_returns_zero():
     n = 8
     ens = sample_ensemble(10, n, 5)
     obs = Observation(np.zeros(10, dtype=complex))
-    res = solve(ens, obs, HankelLift(n))
+    res = solve(ens, obs)
     assert np.linalg.norm(res.x_hat) == 0.0
     assert res.converged
     assert res.iterations == 1
@@ -254,10 +253,10 @@ def test_solve_noisy_program_respects_ball():
     ens = sample_ensemble(18, n, 9)
     delta = 1e-2
     obs = measure(ens, x, delta, rng_seed=10)
-    res = solve(ens, obs, HankelLift(n), SolverConfig(max_iters=600))
+    res = solve(ens, obs, SolverConfig(max_iters=600))
     gap = np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b)
     assert gap <= delta * (1 + 1e-6)
-    weighted = np.linalg.norm(HankelLift(n).d_diag * (res.x_hat - x))
+    weighted = np.linalg.norm(weight_apply(res.x_hat - x))
     assert weighted <= 50 * delta  # stability at a generous constant
 
 
@@ -289,7 +288,7 @@ def test_solve_ball_feasible_at_cap_after_extrapolated_step(monkeypatch):
     def outside_at(max_iters):
         """Sweep count and misfit of each extrapolated state that left the ball."""
         events.clear()
-        res = solve(ens, obs, HankelLift(n), SolverConfig(max_iters=max_iters))
+        res = solve(ens, obs, SolverConfig(max_iters=max_iters))
         sweeps, outside = 0, {}
         for event in events:
             if event is None:
@@ -315,8 +314,8 @@ def test_solve_is_scale_invariant(log_scale, trial):
     ens = sample_ensemble(24, n, 42 + trial)
     obs = measure(ens, x)
     scale = 10.0**log_scale
-    base = solve(ens, obs, HankelLift(n))
-    scaled = solve(ens, Observation(scale * obs.b), HankelLift(n))
+    base = solve(ens, obs)
+    scaled = solve(ens, Observation(scale * obs.b))
     assert scaled.converged == base.converged
     assert np.linalg.norm(scaled.x_hat - scale * base.x_hat) <= 1e-6 * scale * np.linalg.norm(base.x_hat)
     assert success(scaled, scale * x) == success(base, x)
@@ -327,18 +326,17 @@ def test_converged_failures_beat_the_truth():
     # misses the truth must have found a feasible point of smaller nuclear
     # norm: converging elsewhere is the program's outcome, not the solver's.
     n, r, m = 32, 2, 4
-    ctx = HankelLift(n)
     converged_failures = 0
     for seed in range(6):
         x = synthesize(random_instance(n, r, "sinusoid", seed))
         ens = sample_ensemble(m, n, 1000 + seed)
         obs = measure(ens, x)
-        res = solve(ens, obs, ctx)
+        res = solve(ens, obs)
         assert np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b) <= 1e-9 * np.linalg.norm(obs.b)
         if res.converged and not success(res, x):
             converged_failures += 1
-            nuc_hat = np.linalg.svd(ctx.lift(res.y_hat), compute_uv=False).sum()
-            nuc_true = np.linalg.svd(ctx.lift(ctx.d_diag * x), compute_uv=False).sum()
+            nuc_hat = np.linalg.svd(lift(res.y_hat, n), compute_uv=False).sum()
+            nuc_true = np.linalg.svd(lift(weight_apply(x), n), compute_uv=False).sum()
             assert nuc_hat < (1.0 - 1e-6) * nuc_true, f"seed {seed}: converged to a point that does not beat the truth"
     assert converged_failures >= 2
 
@@ -349,7 +347,7 @@ def test_solve_reads_noise_level_from_observation():
     ens = sample_ensemble(18, n, 9)
     delta = 1e-2
     obs = measure(ens, x, delta, rng_seed=10)
-    res = solve(ens, obs, HankelLift(n), SolverConfig(max_iters=600))
+    res = solve(ens, obs, SolverConfig(max_iters=600))
     # the noise-ball program ran: its constraint is active, where the
     # equality-constrained program would fit b exactly
     gap = np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b)
@@ -362,8 +360,8 @@ def test_solve_deterministic():
     x = synthesize(sig)
     ens = sample_ensemble(14, n, 18)
     obs = measure(ens, x)
-    a = solve(ens, obs, HankelLift(n))
-    b = solve(ens, obs, HankelLift(n))
+    a = solve(ens, obs)
+    b = solve(ens, obs)
     assert np.array_equal(a.x_hat, b.x_hat)
     assert a.iterations == b.iterations
     assert a.primal_residual == b.primal_residual
@@ -376,7 +374,7 @@ def test_solve_nonconvergence_is_flagged_not_raised():
     x = synthesize(sig)
     ens = sample_ensemble(16, n, 20)
     obs = measure(ens, x)
-    res = solve(ens, obs, HankelLift(n), SolverConfig(max_iters=3))
+    res = solve(ens, obs, SolverConfig(max_iters=3))
     assert isinstance(res, RecoveryResult)
     assert not res.converged
     assert res.iterations == 3
@@ -384,11 +382,8 @@ def test_solve_nonconvergence_is_flagged_not_raised():
 
 def test_solve_dimension_mismatch():
     ens = sample_ensemble(6, 8, 0)
-    obs = Observation(np.zeros(6, dtype=complex))
-    with pytest.raises(ValueError):
-        solve(ens, obs, HankelLift(9))
-    with pytest.raises(ValueError):
-        solve(ens, Observation(np.zeros(7, dtype=complex)), HankelLift(8))
+    with pytest.raises(ValueError, match="observation"):
+        solve(ens, Observation(np.zeros(7, dtype=complex)))
 
 
 def test_success_threshold_is_closed():
@@ -480,14 +475,13 @@ def test_acceptance05_m8_outcomes_are_the_convex_programs():
     # solver could then recover. With more than 0.1 * trials certified optima,
     # no exact solver has a success rate of at most 0.1 in this cell.
     n, r, m, trials = 16, 2, 8, 50
-    ctx = HankelLift(n)
     certified = {}
     for t in range(trials):
         x = synthesize(random_instance(n, r, "sinusoid", derive_seed(0, "signal", r, m, t)))
         ens = sample_ensemble(m, n, derive_seed(0, "ensemble", r, m, t))
         obs = measure(ens, x)
-        res = solve(ens, obs, ctx, SolverConfig())
-        y_true = ctx.d_diag * x
+        res = solve(ens, obs, SolverConfig())
+        y_true = weight_apply(x)
         recovered = success(res, x)
         k_op = _certify_truth(ens, y_true, r)
         if k_op is not None:
@@ -496,7 +490,7 @@ def test_acceptance05_m8_outcomes_are_the_convex_programs():
         if not recovered:
             misfit = np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b)
             assert misfit <= 1e-9 * np.linalg.norm(obs.b), f"trial {t}: infeasible point"
-            nuc_hat = np.linalg.svd(ctx.lift(res.y_hat), compute_uv=False).sum()
-            nuc_true = np.linalg.svd(ctx.lift(y_true), compute_uv=False).sum()
+            nuc_hat = np.linalg.svd(lift(res.y_hat, n), compute_uv=False).sum()
+            nuc_true = np.linalg.svd(lift(y_true, n), compute_uv=False).sum()
             assert nuc_hat < (1.0 - 1e-6) * nuc_true, f"trial {t}: failure does not beat the truth"
     assert len(certified) > 0.1 * trials, f"certified trials (||K||_op): {certified}"
