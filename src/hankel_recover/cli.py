@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .harness import _check_scan_trials, derive_seed, emit_csv, run_norm_scan, run_phase_transition
+from .harness import _check_scan_trials, _check_seed, derive_seed, emit_csv, run_norm_scan, run_phase_transition
 from .hankel import _check_count, _check_finite, weight_apply
 from .measurement import _check_delta, _check_m, measure, sample_ensemble
 from .modal import ModeExtractionError, _check_r, matrix_pencil, random_instance, synthesize
@@ -181,9 +181,13 @@ def _solver_config(args) -> SolverConfig:
 
 def load_signal(path) -> np.ndarray:
     """Read a signal JSON file: an object with equal-length arrays
-    ``real`` and ``imag``."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    ``real`` and ``imag`` of finite entries, not all zero. Any fault in the
+    file, including one in reading it, raises ``ValueError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read signal file {path}: {exc}") from exc
     try:
         real = np.asarray(data["real"], dtype=float)
         imag = np.asarray(data["imag"], dtype=float)
@@ -191,7 +195,10 @@ def load_signal(path) -> np.ndarray:
         raise ValueError(f"signal file {path} must hold 'real' and 'imag' arrays") from exc
     if real.ndim != 1 or real.shape != imag.shape:
         raise ValueError(f"signal file {path}: 'real' and 'imag' must be equal-length vectors")
-    return _check_finite(real + 1j * imag, f"signal file {path}: 'real' and 'imag'")
+    x = _check_finite(real + 1j * imag, f"signal file {path}: 'real' and 'imag'")
+    if not x.any():
+        raise ValueError(f"signal file {path} has no nonzero entry, so there is no signal to recover")
+    return x
 
 
 def _extract_modes(x_hat, r):
@@ -206,30 +213,25 @@ def _extract_modes(x_hat, r):
     return payload, residual
 
 
-def _run_recover(parser, args) -> int:
+def _run_recover(args) -> int:
     n, m, r = args.n, args.m, args.r
     if n is None or m is None:
-        parser.error("--n and --m are required (flags or config file)")
+        raise ValueError("--n and --m are required (flags or config file)")
     if r is None and args.input is None:
-        parser.error("--r is required unless --input provides a signal")
-    try:
-        _check_count(n, "--n")
-        _check_m(m, n, "--m")
-        _check_delta(args.delta, "--delta")
-        _check_positive(args.threshold, "--threshold")
-        if r is not None:
-            _check_r(r, n, "--r")
-        cfg = _solver_config(args)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError("--r is required unless --input provides a signal")
+    _check_count(n, "--n")
+    _check_m(m, n, "--m")
+    _check_delta(args.delta, "--delta")
+    _check_seed(args.seed, "--seed")
+    _check_positive(args.threshold, "--threshold")
+    if r is not None:
+        _check_r(r, n, "--r")
+    cfg = _solver_config(args)
 
     if args.input is not None:
-        try:
-            x_true = load_signal(args.input)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
+        x_true = load_signal(args.input)
         if x_true.shape[0] != 2 * n - 1:
-            parser.error(f"input signal has length {x_true.shape[0]}, expected 2N-1 = {2 * n - 1}")
+            raise ValueError(f"input signal has length {x_true.shape[0]}, expected 2N-1 = {2 * n - 1}")
     else:
         sig = random_instance(n, r, args.family, derive_seed(args.seed, "signal"))
         x_true = synthesize(sig)
@@ -280,26 +282,24 @@ def _run_recover(parser, args) -> int:
     return 0 if result.converged else 2
 
 
-def _run_phase_transition(parser, args) -> int:
-    try:
-        _check_count(args.n, "--n")
-        for m in args.m:
-            _check_m(m, args.n, "--m")
-        for r in args.r:
-            _check_r(r, args.n, "--r")
-        _check_count(args.trials, "--trials")
-        _check_positive(args.threshold, "--threshold")
-        grid = run_phase_transition(
-            args.n,
-            args.r,
-            args.m,
-            args.trials,
-            threshold=args.threshold,
-            base_seed=args.seed,
-            config=_solver_config(args),
-        )
-    except ValueError as exc:  # the flags' rules, or a malformed HANKEL_RECOVER_THREADS
-        parser.error(str(exc))
+def _run_phase_transition(args) -> int:
+    _check_count(args.n, "--n")
+    for m in args.m:
+        _check_m(m, args.n, "--m")
+    for r in args.r:
+        _check_r(r, args.n, "--r")
+    _check_count(args.trials, "--trials")
+    _check_positive(args.threshold, "--threshold")
+    _check_seed(args.seed, "--seed")
+    grid = run_phase_transition(
+        args.n,
+        args.r,
+        args.m,
+        args.trials,
+        threshold=args.threshold,
+        base_seed=args.seed,
+        config=_solver_config(args),
+    )
     emit_csv(grid, args.out)
     print(
         f"phase transition n={args.n} cells={len(args.r) * len(args.m)} "
@@ -312,13 +312,11 @@ def _run_phase_transition(parser, args) -> int:
     return 0
 
 
-def _run_norm_scan(parser, args) -> int:
-    try:
-        for n in args.n:
-            _check_count(n, "--n")
-        _check_scan_trials(args.trials, "--trials")
-    except ValueError as exc:
-        parser.error(str(exc))
+def _run_norm_scan(args) -> int:
+    for n in args.n:
+        _check_count(n, "--n")
+    _check_scan_trials(args.trials, "--trials")
+    _check_seed(args.seed, "--seed")
     scan = run_norm_scan(args.n, args.trials, args.seed)
     emit_csv(scan, args.out)
     for k, n in enumerate(scan.n_values):
@@ -327,13 +325,15 @@ def _run_norm_scan(parser, args) -> int:
     return 0
 
 
+_COMMANDS = {"recover": _run_recover, "phase-transition": _run_phase_transition, "norm-scan": _run_norm_scan}
+
+
 def main(argv=None) -> int:
     args = _parse(build_parser(), argv)
-    if args.command == "recover":
-        return _run_recover(args.subparser, args)
-    if args.command == "phase-transition":
-        return _run_phase_transition(args.subparser, args)
-    return _run_norm_scan(args.subparser, args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:  # a rule on a flag, the input file or HANKEL_RECOVER_THREADS
+        args.subparser.error(str(exc))
 
 
 if __name__ == "__main__":

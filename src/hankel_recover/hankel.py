@@ -9,7 +9,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "HankelLift",
     "hankel_map",
     "lift",
     "lift_adjoint",
@@ -68,14 +67,16 @@ def _check_vector(v, length: int, name: str = "a vector") -> np.ndarray:
     return v
 
 
-def _check_square(x_mat, n: int | None = None) -> np.ndarray:
-    """Complex square matrix, of side n when given."""
+def _check_square(x_mat) -> np.ndarray:
+    """Complex square matrix."""
     x_mat = np.asarray(x_mat, dtype=complex)
     if x_mat.ndim != 2 or x_mat.shape[0] != x_mat.shape[1] or x_mat.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {x_mat.shape}")
-    if n is not None and x_mat.shape[0] != n:
-        raise ValueError(f"expected a {n} x {n} matrix, got {x_mat.shape}")
     return x_mat
+
+
+def _lift(y: np.ndarray, n: int) -> np.ndarray:
+    return (y / _antidiag_weights(n))[_hankel_index(n)]
 
 
 def _lift_adjoint(x_mat: np.ndarray) -> np.ndarray:
@@ -96,8 +97,7 @@ def lift(y, n: int) -> np.ndarray:
     The Frobenius norm of the output equals the Euclidean norm of y, and
     ``lift_adjoint(lift(y)) == y``.
     """
-    y = _check_vector(y, 2 * n - 1)
-    return (y / _antidiag_weights(n))[_hankel_index(n)]
+    return _lift(_check_vector(y, 2 * n - 1), n)
 
 
 def lift_adjoint(x_mat) -> np.ndarray:
@@ -127,9 +127,7 @@ def toeplitz_map(x, n: int) -> np.ndarray:
     T(x) equals H(x) times the anti-identity, a unitary flip, so the two share
     singular values and in particular nuclear norm.
     """
-    x = _check_vector(x, 2 * n - 1)
-    idx = np.arange(n)
-    return x[n - 1 + idx[:, None] - idx[None, :]]
+    return hankel_map(x, n)[:, ::-1]
 
 
 def numerical_rank(x_mat) -> int:
@@ -144,17 +142,16 @@ def numerical_rank(x_mat) -> int:
 
 @dataclass(frozen=True)
 class HankelLift:
-    """The isometric lift G and its adjoint G* for side length ``n``, with
-    the input checked against n: the two operators of :func:`solve`'s loop,
-    which builds one from its ensemble."""
+    """The isometric lift G and its adjoint G* for side length ``n``: the two
+    operators of :func:`solve`'s loop, which builds one from its checked
+    ensemble. Unlike :func:`lift` and :func:`lift_adjoint`, the methods do
+    not check their input: ``y`` must be a complex vector of length 2n-1 and
+    ``x_mat`` a complex n x n matrix."""
 
     n: int
 
-    def __post_init__(self):
-        _check_count(self.n, "n")
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        return _lift(y, self.n)
 
-    def lift(self, y) -> np.ndarray:
-        return lift(y, self.n)
-
-    def lift_adjoint(self, x_mat) -> np.ndarray:
-        return _lift_adjoint(_check_square(x_mat, self.n))
+    def lift_adjoint(self, x_mat: np.ndarray) -> np.ndarray:
+        return _lift_adjoint(x_mat)

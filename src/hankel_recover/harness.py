@@ -36,12 +36,18 @@ _LANCZOS_TOL = 1e-14
 _LANCZOS_CHECK = 4
 
 
+def _check_seed(seed, name: str = "seed") -> None:
+    if not -(2**127) <= seed < 2**127:  # so that NaN fails
+        raise ValueError(f"{name} must satisfy -2**127 <= seed < 2**127, got {seed}")
+
+
 def derive_seed(base_seed: int, *parts) -> int:
-    """Stable 64-bit seed from a base seed and a label path.
+    """Stable 64-bit seed from a base seed in [-2**127, 2**127) and a label path.
 
     Platform-independent, so any grid cell or single trial can be re-run in
     isolation and reproduce its random stream exactly.
     """
+    _check_seed(base_seed, "base_seed")
     h = hashlib.blake2b(digest_size=8)
     h.update(int(base_seed).to_bytes(16, "little", signed=True))
     for part in parts:
@@ -132,6 +138,7 @@ def run_phase_transition(
     _check_count(n, "n")
     _check_count(trials, "trials")
     _check_positive(threshold, "threshold")
+    _check_seed(base_seed, "base_seed")
     for m in m_values:
         _check_m(m, n)
     for r in r_values:
@@ -221,6 +228,7 @@ def run_norm_scan(n_values, trials: int, rng_seed: int = 0) -> NormScan:
     _check_scan_trials(trials, "trials")
     for n in n_values:
         _check_count(n, "n")
+    _check_seed(rng_seed, "rng_seed")
     means = np.zeros(len(n_values))
     stderrs = np.zeros(len(n_values))
     for k, n in enumerate(n_values):

@@ -73,6 +73,23 @@ def test_usage_error_shows_the_subcommands_usage(argv, tmp_path, monkeypatch, ca
     assert f"hankel-recover {argv[0]}: error: " in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "--n", "8", "--r", "1", "--m", "10"],
+        ["phase-transition", "--n", "8", "--r", "1", "--m", "10", "--trials", "2"],
+        ["norm-scan", "--n", "4", "--trials", "30"],
+    ],
+)
+@pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
+def test_seed_outside_signed_128_bits_is_usage_error(argv, seed, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli([*argv, f"--seed={seed}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"usage: hankel-recover {argv[0]} [-h]" in err and "error: --seed must satisfy" in err
+    assert not out.exists()
+
+
 def test_recover_missing_required_flags_is_usage_error():
     assert run_cli(["recover", "--m", "4"]) == 1
     assert run_cli(["recover", "--n", "8", "--m", "4"]) == 1  # no --r, no --input
@@ -140,6 +157,27 @@ def test_recover_rejects_non_finite_input(tmp_path, capsys):
         load_signal(path)
     assert run_cli(["recover", "--input", str(path), "--n", "2", "--m", "3"]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+def test_recover_zero_input_signal_is_usage_error_before_any_work(tmp_path, capsys):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"real": [0.0] * 15, "imag": [0.0] * 15}))
+    out = tmp_path / "result.json"
+    assert run_cli(["recover", "--n", "8", "--m", "10", "--input", str(zero), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage: hankel-recover recover" in err and "no nonzero entry" in err
+    assert not out.exists()
+
+
+def test_recover_overflowing_input_is_usage_error(tmp_path, capsys):
+    # finite entries whose measurements overflow fail in measure, before the solve
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"real": [1e308] * 15, "imag": [1e308] * 15}))
+    out = tmp_path / "result.json"
+    assert run_cli(["recover", "--n", "8", "--m", "10", "--input", str(big), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage: hankel-recover recover" in err and "must have finite entries" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_load_signal_round_trip(tmp_path):

