@@ -59,7 +59,15 @@ def _check_finite(a, name: str) -> np.ndarray:
     return a
 
 
-def _check_vector(v, length: int, name: str = "a vector") -> np.ndarray:
+def _side_length(a: np.ndarray, ndim: int = 1) -> int:
+    """N from a signal's odd length 2N-1, or (``ndim=2``) from an M x (2N-1)
+    sketch's column count: the one place where N is derived from data."""
+    if a.ndim != ndim or a.shape[-1] % 2 == 0:
+        raise ValueError(f"expected a {ndim}-D array of odd length 2N-1 along its last axis, got shape {a.shape}")
+    return (a.shape[-1] + 1) // 2
+
+
+def _check_vector(v, length: int, name: str) -> np.ndarray:
     """``v`` as a complex array of shape (length,); ValueError otherwise."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (length,):
@@ -86,18 +94,20 @@ def _lift_adjoint(x_mat: np.ndarray) -> np.ndarray:
     return sums / _antidiag_weights(n)
 
 
-def hankel_map(x, n: int) -> np.ndarray:
+def hankel_map(x) -> np.ndarray:
     """Arrange a length-(2N-1) vector into the N x N Hankel matrix H[j, k] = x[j+k]."""
-    return _check_vector(x, 2 * n - 1)[_hankel_index(n)]
+    x = np.asarray(x, dtype=complex)
+    return x[_hankel_index(_side_length(x))]
 
 
-def lift(y, n: int) -> np.ndarray:
+def lift(y) -> np.ndarray:
     """Isometric lift of y onto the Hankel subspace: entries y[j+k] / sqrt(K_{j+k}).
 
     The Frobenius norm of the output equals the Euclidean norm of y, and
     ``lift_adjoint(lift(y)) == y``.
     """
-    return _lift(_check_vector(y, 2 * n - 1), n)
+    y = np.asarray(y, dtype=complex)
+    return _lift(y, _side_length(y))
 
 
 def lift_adjoint(x_mat) -> np.ndarray:
@@ -115,19 +125,17 @@ def weight_apply(x, inverse: bool = False) -> np.ndarray:
     The two directions are exact reciprocals, so a round trip is the identity.
     """
     x = np.asarray(x, dtype=complex)
-    if x.ndim != 1 or x.shape[0] % 2 == 0:
-        raise ValueError(f"expected a vector of odd length, got shape {x.shape}")
-    d = _antidiag_weights((x.shape[0] + 1) // 2)
+    d = _antidiag_weights(_side_length(x))
     return x / d if inverse else x * d
 
 
-def toeplitz_map(x, n: int) -> np.ndarray:
+def toeplitz_map(x) -> np.ndarray:
     """Arrange x into the N x N Toeplitz matrix T[i, j] = x[N-1+i-j].
 
     T(x) equals H(x) times the anti-identity, a unitary flip, so the two share
     singular values and in particular nuclear norm.
     """
-    return hankel_map(x, n)[:, ::-1]
+    return hankel_map(x)[:, ::-1]
 
 
 def numerical_rank(x_mat) -> int:

@@ -42,7 +42,8 @@ def _check_seed(seed, name: str = "seed") -> None:
 
 
 def derive_seed(base_seed: int, *parts) -> int:
-    """Stable 64-bit seed from a base seed in [-2**127, 2**127) and a label path.
+    """Stable 64-bit seed from a base seed in [-2**127, 2**127) and a label path
+    of strings and integers, each integer in that same range.
 
     Platform-independent, so any grid cell or single trial can be re-run in
     isolation and reproduce its random stream exactly.
@@ -55,6 +56,7 @@ def derive_seed(base_seed: int, *parts) -> int:
             h.update(part.encode("utf-8"))
             h.update(b"\x00")
         else:
+            _check_seed(part, "seed label")
             h.update(int(part).to_bytes(16, "little", signed=True))
     return int.from_bytes(h.digest(), "little")
 
@@ -237,7 +239,7 @@ def run_norm_scan(n_values, trials: int, rng_seed: int = 0) -> NormScan:
         vals = np.empty(trials)
         for t in range(trials):
             g = rng.standard_normal(ambient) + 1j * rng.standard_normal(ambient)
-            vals[t] = _top_singular_value(lift(g, n))
+            vals[t] = _top_singular_value(lift(g))
         means[k] = vals.mean()
         stderrs[k] = vals.std(ddof=1) / np.sqrt(trials)
     return NormScan(n_values=n_values, trials=trials, means=means, stderrs=stderrs, seed=int(rng_seed))

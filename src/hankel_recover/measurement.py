@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import _check_count, _check_finite, _check_vector, weight_apply
+from .hankel import _check_count, _check_finite, _check_vector, _side_length, weight_apply
 
 __all__ = [
     "MeasurementEnsemble",
@@ -41,18 +41,16 @@ def _check_delta(delta, name: str = "delta") -> None:
 class MeasurementEnsemble:
     """A complex Gaussian sketch matrix with a cached SVD.
 
-    Entries have i.i.d. standard normal real and imaginary parts. The sketch
-    must have full row rank M <= 2N-1, checked here once (``ValueError``).
+    Entries have i.i.d. standard normal real and imaginary parts. The sketch is
+    M x (2N-1), its width fixing N, with full row rank M <= 2N-1, checked here once.
     The SVD is computed once here and reused by every projection, since the
     solver calls them hundreds of times per recovery. Instances are immutable
     and safe to share across worker threads.
     """
 
-    def __init__(self, b_matrix, n: int):
+    def __init__(self, b_matrix):
         b = np.array(b_matrix, dtype=complex)
-        _check_count(n, "n")
-        if b.ndim != 2 or b.shape[1] != 2 * n - 1:
-            raise ValueError(f"expected an M x {2 * n - 1} matrix, got shape {b.shape}")
+        n = _side_length(b, ndim=2)
         _check_m(b.shape[0], n)
         _check_finite(b, "sketch matrix")
         b.setflags(write=False)
@@ -90,7 +88,7 @@ def sample_ensemble(m: int, n: int, rng_seed=None) -> MeasurementEnsemble:
     _check_m(m, n)
     shape = (m, 2 * n - 1)
     rng = np.random.default_rng(rng_seed)
-    return MeasurementEnsemble(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n)
+    return MeasurementEnsemble(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def measure(ens: MeasurementEnsemble, x, noise_delta: float = 0.0, rng_seed=None) -> Observation:
@@ -102,7 +100,8 @@ def measure(ens: MeasurementEnsemble, x, noise_delta: float = 0.0, rng_seed=None
     """
     x = _check_finite(_check_vector(x, ens.ambient_len, "signal x"), "signal x")
     _check_delta(noise_delta, "noise_delta")
-    b = ens.b_matrix @ weight_apply(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # Observation reports a non-finite b
+        b = ens.b_matrix @ weight_apply(x)
     if noise_delta > 0:
         rng = np.random.default_rng(rng_seed)
         eta = rng.standard_normal(ens.m) + 1j * rng.standard_normal(ens.m)

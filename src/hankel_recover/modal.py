@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import _check_count, _check_finite, hankel_map
+from .hankel import _check_count, _check_finite, _side_length, hankel_map
 
 __all__ = [
     "Mode",
@@ -124,16 +124,14 @@ def matrix_pencil(x, r: int) -> tuple[list[Mode], float]:
         pencil, understated r, or too much noise).
     """
     x = _check_finite(np.asarray(x, dtype=complex), "signal x")
-    if x.ndim != 1 or x.shape[0] % 2 == 0 or x.shape[0] < 3:
-        raise ValueError(f"expected a vector of odd length >= 3, got shape {x.shape}")
-    n = (x.shape[0] + 1) // 2
+    n = _side_length(x)
     if not 1 <= r <= n - 1:
         raise ValueError(f"need 1 <= r <= N-1 = {n - 1}, got r = {r}")
     x_norm = np.linalg.norm(x)
     if x_norm == 0.0:
         raise ValueError("cannot extract modes from the zero signal")
 
-    h = hankel_map(x, n)
+    h = hankel_map(x)
     h0, h1 = h[:-1, :], h[1:, :]
     u, s, vh = np.linalg.svd(h0, full_matrices=False)
     if s[r - 1] <= n * np.finfo(float).eps * s[0]:

@@ -65,7 +65,7 @@ def test_01_operator_identities():
             for _ in range(100):
                 y = _rand_vec(rng, 2 * n - 1)
                 x_mat = _rand_mat(rng, n)
-                lifted = lift(y, n)
+                lifted = lift(y)
                 # adjoint identity <G y, X> = <y, G* X>
                 lhs = np.vdot(x_mat.ravel(), lifted.ravel())
                 rhs = np.vdot(lift_adjoint(x_mat), y)
@@ -73,8 +73,8 @@ def test_01_operator_identities():
                 # isometry G* G = I
                 assert np.linalg.norm(lift_adjoint(lifted) - y) <= 1e-11 * np.linalg.norm(y)
                 # projector G G* is idempotent
-                proj = lift(lift_adjoint(x_mat), n)
-                again = lift(lift_adjoint(proj), n)
+                proj = lift(lift_adjoint(x_mat))
+                again = lift(lift_adjoint(proj))
                 assert np.linalg.norm(again - proj) <= 1e-11 * np.linalg.norm(x_mat)
 
 
@@ -83,7 +83,7 @@ def test_02_rank_structure():
         for i in range(50):
             r = 1 + i % 6
             sig = random_instance(16, r, "sinusoid", derive_seed(202, "rank", i))
-            h = hankel_map(synthesize(sig), 16)
+            h = hankel_map(synthesize(sig))
             s = np.linalg.svd(h, compute_uv=False)
             assert s[r] / s[0] < 1e-9
             assert numerical_rank(h) == r
@@ -171,8 +171,8 @@ def test_08_toeplitz_equivalence():
         rng = np.random.default_rng(808)
         for _ in range(50):
             x = _rand_vec(rng, 31)
-            nuc_h = np.linalg.svd(hankel_map(x, 16), compute_uv=False).sum()
-            nuc_t = np.linalg.svd(toeplitz_map(x, 16), compute_uv=False).sum()
+            nuc_h = np.linalg.svd(hankel_map(x), compute_uv=False).sum()
+            nuc_t = np.linalg.svd(toeplitz_map(x), compute_uv=False).sum()
             assert abs(nuc_h - nuc_t) <= 1e-10 * nuc_h
 
 

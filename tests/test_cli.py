@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,13 @@ def test_recover_square_sketch_reproduces_input(tmp_path):
     assert np.linalg.norm(x_hat - x) <= 1e-8 * np.linalg.norm(x)
     assert payload["relative_error"] <= 1e-8
 
+    # R = 5 is a valid --r for N = 4 (R < 2N-1) but beyond the pencil's N-1:
+    # the recovery stands and the mode fields are null
+    out = tmp_path / "r5.json"
+    assert run_cli(["recover", "--n", "4", "--r", "5", "--m", "7", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["modes"] is None and payload["pencil_residual"] is None
+
 
 def test_recover_nonconverged_exit_code(tmp_path):
     out = tmp_path / "result.json"
@@ -147,6 +155,11 @@ def test_recover_rejects_bad_input_file(tmp_path):
     short = tmp_path / "short.json"
     short.write_text(json.dumps({"real": [1.0, 0.0, 0.0], "imag": [0.0, 0.0, 0.0]}))
     assert run_cli(["recover", "--input", str(short), "--n", "16", "--m", "5"]) == 1
+    uneven = tmp_path / "uneven.json"
+    uneven.write_text(json.dumps({"real": [1.0, 0.0, 0.0], "imag": [0.0, 0.0]}))
+    with pytest.raises(ValueError, match="equal-length"):
+        load_signal(uneven)
+    assert run_cli(["recover", "--input", str(uneven), "--n", "2", "--m", "3"]) == 1
 
 
 def test_recover_rejects_non_finite_input(tmp_path, capsys):
@@ -174,7 +187,9 @@ def test_recover_overflowing_input_is_usage_error(tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"real": [1e308] * 15, "imag": [1e308] * 15}))
     out = tmp_path / "result.json"
-    assert run_cli(["recover", "--n", "8", "--m", "10", "--input", str(big), "--out", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the usage error is the only report
+        assert run_cli(["recover", "--n", "8", "--m", "10", "--input", str(big), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "usage: hankel-recover recover" in err and "must have finite entries" in err
     assert "Traceback" not in err and not out.exists()

@@ -24,6 +24,7 @@ def run_cli(argv):
         ("recover", {"n": "abc", "m": 5, "r": 1}, "--n"),
         ("phase-transition", {"trials": "x"}, "--trials"),
         ("norm-scan", {"trials": "x"}, "--trials"),
+        ("phase-transition", [{"trials": 2}], "must hold a JSON object"),  # not an object
     ],
 )
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, command, config, option):

@@ -47,6 +47,9 @@ def test_seed_outside_signed_128_bits_is_rejected_before_any_work(monkeypatch):
     for seed in (2**127, -(2**127) - 1, math.nan):
         with pytest.raises(ValueError, match="base_seed must satisfy"):
             derive_seed(seed)
+        with pytest.raises(ValueError, match="seed label must satisfy"):
+            derive_seed(0, "signal", seed)
+    assert derive_seed(0, 2**127 - 1) != derive_seed(0, -(2**127))
     monkeypatch.setattr("hankel_recover.harness._phase_trial", _no_work)
     monkeypatch.setattr("hankel_recover.harness._top_singular_value", _no_work)
     with pytest.raises(ValueError, match="base_seed must satisfy"):
@@ -134,7 +137,7 @@ def test_norm_scan_deterministic_and_validated():
 
 def _lifted_gaussian(n, rng):
     g = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
-    return lift(g, n)
+    return lift(g)
 
 
 @pytest.mark.parametrize("n, samples", [(2, 8), (16, 8), (64, 4), (128, 4), (512, 2)])
@@ -165,7 +168,7 @@ def test_top_singular_value_rank_one_breakdown_is_exact(z, monkeypatch):
     # lift(D x) = H(x) = a a^T for x_k = z^k, a = (z^0, ..., z^(n-1)): rank
     # one with norm ||a||^2, so the Krylov space is invariant after one step
     n = 200
-    a_mat = lift(weight_apply(z ** np.arange(2 * n - 1)), n)
+    a_mat = lift(weight_apply(z ** np.arange(2 * n - 1)))
     want = float(np.sum(np.abs(z) ** (2 * np.arange(n))))
     checks = []  # convergence tests run; a breakdown at step 2 comes before any
     eigh = np.linalg.eigh

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -57,14 +59,14 @@ def test_sample_ensemble_validation():
     with pytest.raises(ValueError):
         sample_ensemble(4, 0, 0)
     with pytest.raises(ValueError):
-        MeasurementEnsemble(np.ones((3, 5)), 4)  # wrong width for n=4
+        MeasurementEnsemble(np.ones((3, 6)))  # even width: no N with 2N-1 columns
     with pytest.raises(ValueError):
         sample_ensemble(8, 4, 0)  # M > 2N-1: no projection onto B y = b
     with pytest.raises(ValueError, match="rank deficient"):
-        MeasurementEnsemble(np.ones((3, 7)), 4)
+        MeasurementEnsemble(np.ones((3, 7)))
     rows = sample_ensemble(3, 4, 0).b_matrix
     with pytest.raises(ValueError, match="rank deficient"):
-        MeasurementEnsemble(np.vstack([rows, rows[0] + 2j * rows[1]]), 4)
+        MeasurementEnsemble(np.vstack([rows, rows[0] + 2j * rows[1]]))
 
 
 def test_observation_validation():
@@ -74,6 +76,8 @@ def test_observation_validation():
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
         with pytest.raises(ValueError, match="observation b"):
             Observation(np.array([1.0, bad, 0.0]))
+    with pytest.raises(ValueError, match="expected a vector"):
+        Observation(np.zeros((2, 3)))
 
 
 def test_measure_noise_free_is_exact_and_linear():
@@ -116,6 +120,11 @@ def test_measure_validation():
     x[3] = complex(np.nan, 0.0)
     with pytest.raises(ValueError, match="signal x"):
         measure(ens, x)
+    # finite entries whose weighted measurements overflow: no numpy warning, one ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="observation b must have finite entries"):
+            measure(ens, np.full(7, 1e308 + 1e308j))
 
 
 @_property

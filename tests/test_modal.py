@@ -49,6 +49,8 @@ def test_synthesize_linear_in_amplitudes():
 
 
 def test_modal_signal_validation():
+    sig = ModalSignal((Mode(1.0, 1.0), Mode(-1.0, 2.0)), 4)
+    assert sig.r == 2 and sig.ambient_len == 7
     with pytest.raises(ValueError):
         ModalSignal((Mode(1.0, 0.0),), 4)  # zero amplitude
     with pytest.raises(ValueError):
@@ -141,6 +143,9 @@ def test_matrix_pencil_validation():
         matrix_pencil(np.ones(4), 1)  # even length
     with pytest.raises(ValueError):
         matrix_pencil(np.zeros(5), 1)
+    with pytest.raises(ModeExtractionError) as info:
+        matrix_pencil(np.ones(9), 2)  # rank-one data cannot carry two modes
+    assert info.value.residual == np.inf
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

@@ -231,7 +231,7 @@ def test_solve_exact_recovery_instance():
     assert feas <= 1e-9 * (1.0 + np.linalg.norm(obs.b))
     # recovered objective matches the nuclear norm of the lifted recovery
     assert res.objective == pytest.approx(
-        np.linalg.svd(hankel_map(res.x_hat, n), compute_uv=False).sum(), rel=1e-8
+        np.linalg.svd(hankel_map(res.x_hat), compute_uv=False).sum(), rel=1e-8
     )
 
 
@@ -335,8 +335,8 @@ def test_converged_failures_beat_the_truth():
         assert np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b) <= 1e-9 * np.linalg.norm(obs.b)
         if res.converged and not success(res, x):
             converged_failures += 1
-            nuc_hat = np.linalg.svd(lift(res.y_hat, n), compute_uv=False).sum()
-            nuc_true = np.linalg.svd(lift(weight_apply(x), n), compute_uv=False).sum()
+            nuc_hat = np.linalg.svd(lift(res.y_hat), compute_uv=False).sum()
+            nuc_true = np.linalg.svd(lift(weight_apply(x)), compute_uv=False).sum()
             assert nuc_hat < (1.0 - 1e-6) * nuc_true, f"seed {seed}: converged to a point that does not beat the truth"
     assert converged_failures >= 2
 
@@ -436,12 +436,12 @@ def _certify_truth(ens, y_true, r):
     gap between the two projections, shows that no K in it has ||K||_op <= 1.
     """
     n = ens.n
-    u, _, vh = np.linalg.svd(lift(y_true, n))
+    u, _, vh = np.linalg.svd(lift(y_true))
     u_perp, v_perp = u[:, r:], vh[r:].conj().T
     side = n - r
 
     def off_tangent(h):  # U_perp^H lift(h) V_perp, flattened
-        return (u_perp.conj().T @ lift(h, n) @ v_perp).ravel()
+        return (u_perp.conj().T @ lift(h) @ v_perp).ravel()
 
     _, s, basis = np.linalg.svd(np.stack([off_tangent(e) for e in np.eye(ens.ambient_len)], axis=1))
     tangent = basis[np.count_nonzero(s > 1e-8 * s[0]) :].conj().T
@@ -449,7 +449,7 @@ def _certify_truth(ens, y_true, r):
         return None
     null_b = np.linalg.svd(ens.b_matrix)[2][ens.m :].conj().T
     a = np.stack([off_tangent(g).conj() for g in null_b.T])
-    c = -np.array([np.vdot(lift(g, n), u[:, :r] @ vh[:r]) for g in null_b.T])
+    c = -np.array([np.vdot(lift(g), u[:, :r] @ vh[:r]) for g in null_b.T])
     a_pinv = np.linalg.pinv(a)
     k = np.zeros(side * side, dtype=complex)
     for _ in range(2000):
@@ -490,7 +490,7 @@ def test_acceptance05_m8_outcomes_are_the_convex_programs():
         if not recovered:
             misfit = np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b)
             assert misfit <= 1e-9 * np.linalg.norm(obs.b), f"trial {t}: infeasible point"
-            nuc_hat = np.linalg.svd(lift(res.y_hat, n), compute_uv=False).sum()
-            nuc_true = np.linalg.svd(lift(y_true, n), compute_uv=False).sum()
+            nuc_hat = np.linalg.svd(lift(res.y_hat), compute_uv=False).sum()
+            nuc_true = np.linalg.svd(lift(y_true), compute_uv=False).sum()
             assert nuc_hat < (1.0 - 1e-6) * nuc_true, f"trial {t}: failure does not beat the truth"
     assert len(certified) > 0.1 * trials, f"certified trials (||K||_op): {certified}"
