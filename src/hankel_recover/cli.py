@@ -14,10 +14,10 @@ import sys
 import numpy as np
 
 from .harness import _check_scan_trials, _check_seed, derive_seed, emit_csv, run_norm_scan, run_phase_transition
-from .hankel import _check_count, _check_finite, weight_apply
+from .hankel import _check_count, _check_finite, _side_length, weight_apply
 from .measurement import _check_delta, _check_m, measure, sample_ensemble
 from .modal import ModeExtractionError, _check_r, matrix_pencil, random_instance, synthesize
-from .solver import SUCCESS_THRESHOLD, SolverConfig, _check_positive, solve, success
+from .solver import MAX_ITERS, SUCCESS_THRESHOLD, _check_positive, solve, success
 
 __all__ = ["main", "build_parser", "load_signal"]
 
@@ -45,25 +45,6 @@ def _int_list(value) -> list[int]:
     return items
 
 
-def _add_solver_flags(p):
-    p.add_argument(
-        "--rho",
-        type=float,
-        default=SolverConfig.rho,
-        help="ADMM penalty relative to the rms of b, rho * sqrt(M) / ||b|| (default %(default)g)",
-    )
-    p.add_argument(
-        "--max-iters", type=int, default=SolverConfig.max_iters, help="ADMM iteration cap (default %(default)s)"
-    )
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=SolverConfig.tol,
-        help="ADMM relative tolerance of both stopping tests: ||G y - Z|| <= tol ||Z|| and "
-        "||G*(Z_k - Z_k-1)|| <= tol ||y|| (default %(default)g)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hankel-recover",
@@ -74,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     config_help = "JSON config file; flags override its values"
 
     rec = sub.add_parser("recover", help="recover one signal from a Gaussian sketch")
-    rec.add_argument("--n", type=int, help="Hankel side length N; signals have length 2N-1")
+    rec.add_argument("--n", type=int, help="Hankel side length N; signals have length 2N-1 (optional with --input)")
     rec.add_argument("--r", type=int, help="number of modes (needed to generate, optional with --input)")
     rec.add_argument("--m", type=int, help="number of measurements")
     rec.add_argument("--delta", type=float, default=0.0, help="noise level (0 = noise-free, default %(default)g)")
@@ -85,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=SUCCESS_THRESHOLD,
         help="relative-error success threshold (default %(default)g)",
     )
-    _add_solver_flags(rec)
+    rec.add_argument("--max-iters", type=int, default=MAX_ITERS, help="ADMM sweep cap (default %(default)s)")
     rec.add_argument(
         "--family", choices=["sinusoid", "damped"], default="sinusoid", help="mode family for generated signals"
     )
@@ -107,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold", type=float, default=SUCCESS_THRESHOLD, help="success threshold (default %(default)g)"
     )
     pt.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
-    _add_solver_flags(pt)
+    pt.add_argument("--max-iters", type=int, default=MAX_ITERS, help="ADMM sweep cap (default %(default)s)")
     pt.add_argument("--out", default="phase_transition.csv", help="output CSV path (default %(default)s)")
     pt.add_argument("--config", help=config_help)
     pt.add_argument("--full", action="store_true", help="full protocol: N=64, 100 trials, M=1..127")
@@ -141,17 +122,30 @@ def _load_config(parser, path):
     return cfg
 
 
-def _as_flags(values, dests) -> list[str]:
-    """``--key=value`` tokens for the entries of ``values`` that name a valued
-    option in ``dests`` (not the subcommand, its parser, ``--config`` or
-    ``--full``); lists become comma-separated and nulls are skipped."""
+def _as_flags(values, args) -> list[str]:
+    """``--key=value`` tokens for the entries of ``values``, each of which must
+    name a valued option of the subcommand parsed into ``args`` (``"full"``
+    is read before); lists become comma-separated and nulls are skipped."""
+    valued = set(vars(args)) - {"command", "subparser", "config", "full"}
     tokens = []
     for key, value in values.items():
+        if key == "full" and hasattr(args, "full"):
+            continue
+        if key not in valued:
+            args.subparser.error(f"config file {args.config} has unknown key {key!r}")
         if isinstance(value, list):
             value = ",".join(str(v) for v in value)
-        if key in dests and key not in ("command", "subparser", "config", "full") and value is not None:
+        if value is not None:
             tokens.append(f"--{key.replace('_', '-')}={value}")
     return tokens
+
+
+def _parse_args(parser, argv):
+    """``parser.parse_args``, but unrecognized arguments show the subcommand's usage."""
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        args.subparser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _parse(parser, argv):
@@ -160,23 +154,16 @@ def _parse(parser, argv):
     config file, which beats ``--full``, which beats the built-in default;
     every value is type-checked by its option's declaration."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, argv)
     config = _load_config(args.subparser, args.config)
     presets = dict(_FULL_GRID) if hasattr(args, "full") and (args.full or config.get("full")) else {}
     presets.update(config)
+    flags = _as_flags(presets, args)
     try:
-        return parser.parse_args([argv[0], *_as_flags(presets, vars(args)), *argv[1:]])
+        return _parse_args(parser, [argv[0], *flags, *argv[1:]])
     except SystemExit:  # argv parsed alone above, so the config file holds the bad value
         sys.stderr.write(f"{args.subparser.prog}: error: the rejected value is from config file {args.config}\n")
         raise
-
-
-def _solver_config(args) -> SolverConfig:
-    """The solver flags as a SolverConfig, each checked under its flag name."""
-    _check_positive(args.rho, "--rho")
-    _check_count(args.max_iters, "--max-iters")
-    _check_positive(args.tol, "--tol")
-    return SolverConfig(rho=args.rho, max_iters=args.max_iters, tol=args.tol)
 
 
 def load_signal(path) -> np.ndarray:
@@ -215,30 +202,30 @@ def _extract_modes(x_hat, r):
 
 def _run_recover(args) -> int:
     n, m, r = args.n, args.m, args.r
+    x_true = None if args.input is None else load_signal(args.input)
+    if n is None and x_true is not None:
+        n = _side_length(x_true)
     if n is None or m is None:
-        raise ValueError("--n and --m are required (flags or config file)")
-    if r is None and args.input is None:
+        raise ValueError("--n and --m are required (flags or config file; --input gives N)")
+    if r is None and x_true is None:
         raise ValueError("--r is required unless --input provides a signal")
     _check_count(n, "--n")
     _check_m(m, n, "--m")
     _check_delta(args.delta, "--delta")
     _check_seed(args.seed, "--seed")
     _check_positive(args.threshold, "--threshold")
+    _check_count(args.max_iters, "--max-iters")
     if r is not None:
         _check_r(r, n, "--r")
-    cfg = _solver_config(args)
 
-    if args.input is not None:
-        x_true = load_signal(args.input)
-        if x_true.shape[0] != 2 * n - 1:
-            raise ValueError(f"input signal has length {x_true.shape[0]}, expected 2N-1 = {2 * n - 1}")
-    else:
-        sig = random_instance(n, r, args.family, derive_seed(args.seed, "signal"))
-        x_true = synthesize(sig)
+    if x_true is None:
+        x_true = synthesize(random_instance(n, r, args.family, derive_seed(args.seed, "signal")))
+    elif x_true.shape[0] != 2 * n - 1:
+        raise ValueError(f"input signal has length {x_true.shape[0]}, expected 2N-1 = {2 * n - 1}")
 
     ens = sample_ensemble(m, n, derive_seed(args.seed, "ensemble"))
     obs = measure(ens, x_true, args.delta, derive_seed(args.seed, "noise"))
-    result = solve(ens, obs, cfg)
+    result = solve(ens, obs, max_iters=args.max_iters)
 
     rel_error = float(np.linalg.norm(result.x_hat - x_true) / np.linalg.norm(x_true))
     weighted_error = float(np.linalg.norm(weight_apply(result.x_hat - x_true)))
@@ -291,6 +278,7 @@ def _run_phase_transition(args) -> int:
     _check_count(args.trials, "--trials")
     _check_positive(args.threshold, "--threshold")
     _check_seed(args.seed, "--seed")
+    _check_count(args.max_iters, "--max-iters")
     grid = run_phase_transition(
         args.n,
         args.r,
@@ -298,7 +286,7 @@ def _run_phase_transition(args) -> int:
         args.trials,
         threshold=args.threshold,
         base_seed=args.seed,
-        config=_solver_config(args),
+        max_iters=args.max_iters,
     )
     emit_csv(grid, args.out)
     print(

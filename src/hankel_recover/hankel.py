@@ -3,6 +3,7 @@ operator and its adjoint, and the Hankel-to-Toeplitz flip."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,8 +50,8 @@ def _adjoint_index(n: int) -> np.ndarray:
 
 
 def _check_count(value, name: str) -> None:
-    if not value >= 1:  # so that NaN fails
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value}")
 
 
 def _check_finite(a, name: str) -> np.ndarray:

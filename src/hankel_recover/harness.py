@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 from .hankel import _check_count, lift
 from .measurement import _check_m, measure, sample_ensemble
 from .modal import _check_r, random_instance, synthesize
-from .solver import SUCCESS_THRESHOLD, SolverConfig, _check_positive, _norm, solve, success
+from .solver import MAX_ITERS, SUCCESS_THRESHOLD, _check_positive, _norm, solve, success
 
 __all__ = [
     "NormScan",
@@ -106,16 +107,16 @@ class NormScan:
 
 
 def _check_scan_trials(trials, name: str) -> None:
-    if not trials >= 30:  # so that NaN fails
-        raise ValueError(f"{name} must be >= 30 for a meaningful stderr, got {trials}")
+    if not (isinstance(trials, numbers.Integral) and trials >= 30):
+        raise ValueError(f"{name} must be >= 30 for a meaningful stderr and be an integer, got {trials}")
 
 
-def _phase_trial(n, r, m, trial, base_seed, threshold, cfg) -> bool:
+def _phase_trial(n, r, m, trial, base_seed, threshold, max_iters) -> bool:
     sig = random_instance(n, r, rng_seed=derive_seed(base_seed, "signal", r, m, trial))
     x_true = synthesize(sig)
     ens = sample_ensemble(m, n, derive_seed(base_seed, "ensemble", r, m, trial))
     obs = measure(ens, x_true)
-    return success(solve(ens, obs, cfg), x_true, threshold)
+    return success(solve(ens, obs, max_iters=max_iters), x_true, threshold)
 
 
 def run_phase_transition(
@@ -125,31 +126,31 @@ def run_phase_transition(
     trials: int,
     threshold: float = SUCCESS_THRESHOLD,
     base_seed: int = 0,
-    config: SolverConfig | None = None,
+    max_iters: int = MAX_ITERS,
 ) -> PhaseGrid:
     """Noise-free success-rate table: ``trials`` independent recoveries per cell.
 
     Per-trial seeds derive from (base_seed, R, M, trial), and outcomes are
     reduced in fixed (R, M, trial) order, so the result is identical for any
-    worker pool size (:func:`worker_count`).
+    worker pool size (:func:`worker_count`). Each solve stops after at most
+    ``max_iters`` sweeps.
     """
-    n = int(n)
-    r_values = tuple(int(r) for r in r_values)
-    m_values = tuple(int(m) for m in m_values)
-    trials = int(trials)
+    r_values, m_values = tuple(r_values), tuple(m_values)
     _check_count(n, "n")
     _check_count(trials, "trials")
     _check_positive(threshold, "threshold")
     _check_seed(base_seed, "base_seed")
+    _check_count(max_iters, "max_iters")
     for m in m_values:
         _check_m(m, n)
     for r in r_values:
         _check_r(r, n)
-    cfg = config if config is not None else SolverConfig()
+    n, trials = int(n), int(trials)
+    r_values, m_values = tuple(map(int, r_values)), tuple(map(int, m_values))
 
     jobs = list(product(r_values, m_values, range(trials)))
     with ThreadPoolExecutor(max_workers=min(worker_count(), max(1, len(jobs)))) as pool:
-        outcomes = list(pool.map(lambda job: _phase_trial(n, *job, base_seed, threshold, cfg), jobs))
+        outcomes = list(pool.map(lambda job: _phase_trial(n, *job, base_seed, threshold, max_iters), jobs))
     rates = np.array(outcomes, float).reshape(len(r_values), len(m_values), trials).mean(axis=2)
     return PhaseGrid(
         n=n,
@@ -225,12 +226,12 @@ def run_norm_scan(n_values, trials: int, rng_seed: int = 0) -> NormScan:
     imaginary parts; stderr is sample std / sqrt(trials). Each norm comes
     from :func:`_top_singular_value`.
     """
-    n_values = tuple(int(v) for v in n_values)
-    trials = int(trials)
+    n_values = tuple(n_values)
     _check_scan_trials(trials, "trials")
     for n in n_values:
         _check_count(n, "n")
     _check_seed(rng_seed, "rng_seed")
+    n_values, trials = tuple(map(int, n_values)), int(trials)
     means = np.zeros(len(n_values))
     stderrs = np.zeros(len(n_values))
     for k, n in enumerate(n_values):

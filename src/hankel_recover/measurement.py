@@ -4,6 +4,7 @@ feasibility projections (affine and noise ball) used by the solver."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ _NEWTON_MAX_STEPS = 50
 
 
 def _check_m(m, n: int, name: str = "m") -> None:
-    if not 1 <= m <= 2 * n - 1:  # so that NaN fails
-        raise ValueError(f"{name} must satisfy 1 <= M <= 2N-1 = {2 * n - 1}, got {m}")
+    if not (isinstance(m, numbers.Integral) and 1 <= m <= 2 * n - 1):
+        raise ValueError(f"{name} must satisfy 1 <= M <= 2N-1 = {2 * n - 1} and be an integer, got {m}")
 
 
 def _check_delta(delta, name: str = "delta") -> None:

@@ -3,6 +3,7 @@ random test instances, and pole extraction via a matrix pencil."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ _PENCIL_TOL = 1e-6
 
 
 def _check_r(r, n: int, name: str = "r") -> None:
-    if not 1 <= r < 2 * n - 1:  # so that NaN fails
-        raise ValueError(f"{name} must satisfy 1 <= R < 2N-1 = {2 * n - 1}, got {r}")
+    if not (isinstance(r, numbers.Integral) and 1 <= r < 2 * n - 1):
+        raise ValueError(f"{name} must satisfy 1 <= R < 2N-1 = {2 * n - 1} and be an integer, got {r}")
 
 
 class ModeExtractionError(ArithmeticError):
@@ -118,15 +119,15 @@ def matrix_pencil(x, r: int) -> tuple[list[Mode], float]:
     Raises
     ------
     ValueError
-        If r is out of range, or x is zero or not finite.
+        If r is not an integer in range, or x is zero or not finite.
     ModeExtractionError
         If the relative re-synthesis residual exceeds 1e-6 (ill-conditioned
         pencil, understated r, or too much noise).
     """
     x = _check_finite(np.asarray(x, dtype=complex), "signal x")
     n = _side_length(x)
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"need 1 <= r <= N-1 = {n - 1}, got r = {r}")
+    if not (isinstance(r, numbers.Integral) and 1 <= r <= n - 1):
+        raise ValueError(f"need an integer 1 <= r <= N-1 = {n - 1}, got r = {r}")
     x_norm = np.linalg.norm(x)
     if x_norm == 0.0:
         raise ValueError("cannot extract modes from the zero signal")

@@ -12,40 +12,18 @@ import numpy as np
 from .hankel import HankelLift, _check_count, _check_finite, _check_vector, weight_apply
 from .measurement import MeasurementEnsemble, Observation, project_affine, project_ball
 
-__all__ = ["RecoveryResult", "SUCCESS_THRESHOLD", "SolverConfig", "solve", "success", "svt"]
+__all__ = ["MAX_ITERS", "RecoveryResult", "SUCCESS_THRESHOLD", "solve", "success", "svt"]
 
 # The default relative-error threshold of :func:`success`, the phase
 # transition and the CLI.
 SUCCESS_THRESHOLD = 1e-3
+# The default sweep cap of :func:`solve`, the phase transition and the CLI.
+MAX_ITERS = 2000
 
 
 def _check_positive(value, name: str) -> None:
     if not 0.0 < value < math.inf:  # so that NaN fails
         raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """ADMM parameters.
-
-    ``rho`` is dimensionless: the penalty is rho_eff = rho * sqrt(M) / ||b||,
-    that is rho over the rms of the measurements b, so scaling the data
-    scales the solution and leaves the iterations unchanged. A solve stops
-    when ||G y - Z||_F <= tol * ||Z||_F and ||G*(Z_k - Z_{k-1})||_2 <=
-    tol * ||y||_2, the second taken across two plain sweeps; see
-    :func:`solve`, which also accelerates the sweeps (Anderson, memory 5).
-
-    The noise level is not a solver parameter: it is ``Observation.delta``.
-    """
-
-    rho: float = 30.0
-    max_iters: int = 2000
-    tol: float = 1e-7
-
-    def __post_init__(self):
-        _check_positive(self.rho, "rho")
-        _check_count(self.max_iters, "max_iters")
-        _check_positive(self.tol, "tol")
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +37,7 @@ class RecoveryResult:
     ``dual_residual`` is ||G*(Z_k - Z_{k-1})||_2 of the last sweep that
     followed a plain one (no rho factor), both in the units of b.
     ``converged`` holds iff, within ``max_iters``, a sweep had
-    primal_residual <= tol * ||Z||_F and dual_residual <= tol * ||y||_2,
-    with the ``tol`` of :class:`SolverConfig`.
+    primal_residual <= _TOL * ||Z||_F and dual_residual <= _TOL * ||y||_2.
     """
 
     x_hat: np.ndarray
@@ -72,6 +49,10 @@ class RecoveryResult:
     converged: bool
 
 
+# The dimensionless ADMM penalty (rho_eff = _RHO * sqrt(M) / ||b||, see
+# :func:`solve`) and the relative tolerance of both stopping tests.
+_RHO = 30.0
+_TOL = 1e-7
 # svt's Gram route runs while n * eps * sigma_1^2 <= _GRAM_GUARD * tau^2.
 _GRAM_GUARD = 1e-6
 # Anderson acceleration combines the differences of the last _AA_MEMORY
@@ -219,7 +200,7 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
-def solve(ens: MeasurementEnsemble, obs: Observation, cfg: SolverConfig | None = None) -> RecoveryResult:
+def solve(ens: MeasurementEnsemble, obs: Observation, *, max_iters: int = MAX_ITERS) -> RecoveryResult:
     """Minimize the nuclear norm of the lifted signal subject to data consistency.
 
     Splitting Z = G y with scaled dual U, each sweep does
@@ -228,7 +209,7 @@ def solve(ens: MeasurementEnsemble, obs: Observation, cfg: SolverConfig | None =
         y <- projection of G*(Z - U) onto {B y = b} (or the delta-ball)
         U <- U + G y - Z
 
-    with rho_eff = rho * sqrt(M) / ||b||: the penalty is relative to the rms
+    with rho_eff = _RHO * sqrt(M) / ||b||: the penalty is relative to the rms
     of b, so solving for s * b returns s times the solution for b. The
     y-update collapses to a vector projection because the lift is an
     isometry, and G*U is carried along as G*U + y - G*Z since G*G = I.
@@ -242,25 +223,24 @@ def solve(ens: MeasurementEnsemble, obs: Observation, cfg: SolverConfig | None =
     the smallest seen so far; it is also kept when the primal test passes, so
     that the following sweep can run the dual test exactly.
 
-    Terminates when ||G y - Z||_F <= tol * ||Z||_F and, across two
+    Terminates when ||G y - Z||_F <= _TOL * ||Z||_F and, across two
     consecutive plain sweeps (Z_0 = 0), ||G*(Z_k - Z_{k-1})||_2 <=
-    tol * ||y||_2; hitting max_iters yields ``converged=False``, not an
-    error. The returned y is always the last projection's output, so it
+    _TOL * ||y||_2; hitting ``max_iters`` sweeps yields ``converged=False``,
+    not an error. The returned y is always the last projection's output, so it
     satisfies the constraint whatever the last step was.
 
     The noise level is ``obs.delta``, its only source (0 selects the
     equality-constrained program), and the side length N is ``ens.n``, which
     fixes the lift G.
     """
-    if cfg is None:
-        cfg = SolverConfig()
+    _check_count(max_iters, "max_iters")
     b = _check_vector(obs.b, ens.m, "observation")
     delta = obs.delta
 
     n = ens.n
     ylen = ens.ambient_len
     lift_ctx = HankelLift(n)
-    tau = _norm(b) / (cfg.rho * math.sqrt(ens.m))  # 1 / rho_eff
+    tau = _norm(b) / (_RHO * math.sqrt(ens.m))  # 1 / rho_eff
     # Each sweep writes its image (U, y, G*U) and its step Z - G y into the
     # next slot of the acceleration ring; an extrapolated state has its own.
     accel = _Anderson(n * n, n * n + 2 * ylen)
@@ -277,7 +257,7 @@ def solve(ens: MeasurementEnsemble, obs: Observation, cfg: SolverConfig | None =
     converged = False
     iterations = 0
 
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         adj_z_prev = adj_z
         z = svt(lifted_y + state.dual, tau)
         adj_z = lift_ctx.lift_adjoint(z)
@@ -294,10 +274,10 @@ def solve(ens: MeasurementEnsemble, obs: Observation, cfg: SolverConfig | None =
         image.y[:] = y
         np.subtract(y, v, out=image.adj_dual)  # G*U + y - G*Z
 
-        primal_ok = primal_res <= cfg.tol * _norm(z)
+        primal_ok = primal_res <= _TOL * _norm(z)
         if plain:
             dual_res = _norm(adj_z - adj_z_prev)
-            if primal_ok and dual_res <= cfg.tol * _norm(y):
+            if primal_ok and dual_res <= _TOL * _norm(y):
                 converged = True
                 break
         np.subtract(z, lifted_y, out=steps[accel.slot])

@@ -42,8 +42,6 @@ def test_recover_zero_m_is_usage_error(tmp_path, capsys):
     [
         ["recover", "--n", "8", "--r", "1", "--m", "10", "--delta", "nan"],
         ["recover", "--n", "8", "--r", "1", "--m", "10", "--delta", "inf"],
-        ["recover", "--n", "8", "--r", "1", "--m", "10", "--rho", "nan"],
-        ["recover", "--n", "8", "--r", "1", "--m", "10", "--tol", "nan"],
         ["recover", "--n", "8", "--r", "1", "--m", "10", "--threshold", "nan"],
         ["phase-transition", "--n", "8", "--r", "1", "--m", "10", "--trials", "2", "--threshold", "nan"],
     ],
@@ -62,11 +60,14 @@ def test_non_finite_flag_is_usage_error(argv, tmp_path, capsys):
         ["recover", "--config", "missing.json"],
         ["phase-transition", "--n", "8", "--r", "1", "--m", "40", "--trials", "2"],
         ["norm-scan", "--trials", "5"],
+        ["recover", "--rho", "30"],
+        ["norm-scan", "--bogus", "1"],
     ],
 )
 def test_usage_error_shows_the_subcommands_usage(argv, tmp_path, monkeypatch, capsys):
-    # errors found after parsing (flag rules, solver flags, config file) show
-    # the subcommand's usage with its flags, not the top-level one
+    # errors found after parsing (flag rules, solver flags, config file) and
+    # unrecognized flags show the subcommand's usage with its flags, not the
+    # top-level one
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
@@ -109,6 +110,10 @@ def test_recover_square_sketch_reproduces_input(tmp_path):
     x_hat = np.array(payload["x_hat"]["real"]) + 1j * np.array(payload["x_hat"]["imag"])
     assert np.linalg.norm(x_hat - x) <= 1e-8 * np.linalg.norm(x)
     assert payload["relative_error"] <= 1e-8
+    # N comes from the file's length 2N-1 when --n is left out
+    out = tmp_path / "no_n.json"
+    assert run_cli(["recover", "--input", str(sig_file), "--m", "31", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n"] == 16
 
     # R = 5 is a valid --r for N = 4 (R < 2N-1) but beyond the pencil's N-1:
     # the recovery stands and the mode fields are null

@@ -1,13 +1,12 @@
 """Config files and ``--full`` go through the same option declarations as
 explicit flags."""
 
-import dataclasses
 import inspect
 import json
 
 import pytest
 
-from hankel_recover import SolverConfig, run_phase_transition, success
+from hankel_recover import run_phase_transition, solve, success
 from hankel_recover.cli import build_parser, main
 
 
@@ -25,6 +24,8 @@ def run_cli(argv):
         ("phase-transition", {"trials": "x"}, "--trials"),
         ("norm-scan", {"trials": "x"}, "--trials"),
         ("phase-transition", [{"trials": 2}], "must hold a JSON object"),  # not an object
+        ("recover", {"n": 8, "m": 10, "r": 1, "rho": 30}, "'rho'"),  # not an option
+        ("phase-transition", {"trails": 3}, "'trails'"),
     ],
 )
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, command, config, option):
@@ -48,8 +49,7 @@ def test_full_grid_precedence(tmp_path):
 @pytest.mark.parametrize("command", ["recover", "phase-transition"])
 def test_solver_flag_defaults_are_solver_config_defaults(command):
     args = vars(build_parser().parse_args([command]))
-    defaults = SolverConfig()
-    for field in dataclasses.fields(SolverConfig):
-        assert args[field.name] == getattr(defaults, field.name)
+    for fn in (solve, run_phase_transition):
+        assert args["max_iters"] == inspect.signature(fn).parameters["max_iters"].default
     for fn in (success, run_phase_transition):
         assert args["threshold"] == inspect.signature(fn).parameters["threshold"].default

@@ -96,6 +96,14 @@ def test_phase_transition_validates_before_work():
         run_phase_transition(8, [15], [8], trials=5)  # r >= 2N-1
     with pytest.raises(ValueError):
         run_phase_transition(8, [2], [8], trials=0)
+    # counts must be integers, not truncated
+    with pytest.raises(ValueError, match="n must"):
+        run_phase_transition(8.7, [1], [15], 1)
+    with pytest.raises(ValueError, match="trials must"):
+        run_phase_transition(8, [1], [15], trials=2.5)
+    for bad in (0, np.nan, 2.5):
+        with pytest.raises(ValueError, match="max_iters"):
+            run_phase_transition(8, [1], [15], 1, max_iters=bad)
     for bad in (0.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="threshold"):
             run_phase_transition(8, [2], [8], trials=5, threshold=bad)
@@ -133,6 +141,10 @@ def test_norm_scan_deterministic_and_validated():
         run_norm_scan([4], trials=29)
     with pytest.raises(ValueError):
         run_norm_scan([0], trials=50)
+    with pytest.raises(ValueError, match="n must"):
+        run_norm_scan([4.6], trials=30)
+    with pytest.raises(ValueError, match="trials must"):
+        run_norm_scan([4], trials=30.5)
 
 
 def _lifted_gaussian(n, rng):

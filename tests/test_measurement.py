@@ -58,6 +58,10 @@ def test_sample_ensemble_validation():
         sample_ensemble(0, 4, 0)
     with pytest.raises(ValueError):
         sample_ensemble(4, 0, 0)
+    with pytest.raises(ValueError, match="integer"):
+        sample_ensemble(2.5, 8)
+    with pytest.raises(ValueError, match="integer"):
+        sample_ensemble(2, 8.0)
     with pytest.raises(ValueError):
         MeasurementEnsemble(np.ones((3, 6)))  # even width: no N with 2N-1 columns
     with pytest.raises(ValueError):

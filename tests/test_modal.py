@@ -101,6 +101,11 @@ def test_random_instance_validation():
         random_instance(4, 0, "sinusoid", 0)
     with pytest.raises(ValueError):
         random_instance(4, 2, "gaussian", 0)
+    with pytest.raises(ValueError, match="integer"):
+        random_instance(8.5, 1)
+    with pytest.raises(ValueError, match="integer"):
+        random_instance(8, 1.0)
+    random_instance(np.int64(8), np.int64(1))  # numpy integers are integers
 
 
 def test_matrix_pencil_constant_signal():
@@ -139,6 +144,8 @@ def test_matrix_pencil_round_trip_both_families():
 def test_matrix_pencil_validation():
     with pytest.raises(ValueError):
         matrix_pencil(np.ones(5), 3)  # r > N-1
+    with pytest.raises(ValueError, match="integer"):
+        matrix_pencil(np.ones(5), 1.5)
     with pytest.raises(ValueError):
         matrix_pencil(np.ones(4), 1)  # even length
     with pytest.raises(ValueError):

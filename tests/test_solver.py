@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hankel_recover import (
     Observation,
     RecoveryResult,
-    SolverConfig,
     derive_seed,
     hankel_map,
     lift,
@@ -155,7 +154,7 @@ def test_svt_matches_svd_definition_on_admm_iterates(monkeypatch):
     for r, m, seed in ((2, 12, 5), (3, 60, 6)):
         x = synthesize(random_instance(n, r, "sinusoid", seed))
         ens = sample_ensemble(m, n, seed + 100)
-        sweeps += solve(ens, measure(ens, x), SolverConfig(max_iters=40)).iterations
+        sweeps += solve(ens, measure(ens, x), max_iters=40).iterations
     assert len(inputs) == sweeps >= 75  # one svt per sweep
     for x_mat, tau in inputs[1::3]:
         _assert_matches_svd_definition(svt(x_mat, tau), x_mat, tau)
@@ -187,19 +186,11 @@ def test_svt_falls_back_to_svd_when_gram_overflows():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(rho=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="rho"):
-            SolverConfig(rho=bad)
-        with pytest.raises(ValueError, match="tol"):
-            SolverConfig(tol=bad)
-    with pytest.raises(ValueError, match="max_iters"):
-        SolverConfig(max_iters=np.nan)
+    ens = sample_ensemble(4, 3, 0)
+    obs = measure(ens, synthesize(random_instance(3, 1, "sinusoid", 0)))
+    for bad in (0, np.nan, 2.5):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve(ens, obs, max_iters=bad)
 
 
 def test_solve_square_system_is_direct():
@@ -253,7 +244,7 @@ def test_solve_noisy_program_respects_ball():
     ens = sample_ensemble(18, n, 9)
     delta = 1e-2
     obs = measure(ens, x, delta, rng_seed=10)
-    res = solve(ens, obs, SolverConfig(max_iters=600))
+    res = solve(ens, obs, max_iters=600)
     gap = np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b)
     assert gap <= delta * (1 + 1e-6)
     weighted = np.linalg.norm(weight_apply(res.x_hat - x))
@@ -288,7 +279,7 @@ def test_solve_ball_feasible_at_cap_after_extrapolated_step(monkeypatch):
     def outside_at(max_iters):
         """Sweep count and misfit of each extrapolated state that left the ball."""
         events.clear()
-        res = solve(ens, obs, SolverConfig(max_iters=max_iters))
+        res = solve(ens, obs, max_iters=max_iters)
         sweeps, outside = 0, {}
         for event in events:
             if event is None:
@@ -347,7 +338,7 @@ def test_solve_reads_noise_level_from_observation():
     ens = sample_ensemble(18, n, 9)
     delta = 1e-2
     obs = measure(ens, x, delta, rng_seed=10)
-    res = solve(ens, obs, SolverConfig(max_iters=600))
+    res = solve(ens, obs, max_iters=600)
     # the noise-ball program ran: its constraint is active, where the
     # equality-constrained program would fit b exactly
     gap = np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b)
@@ -374,7 +365,7 @@ def test_solve_nonconvergence_is_flagged_not_raised():
     x = synthesize(sig)
     ens = sample_ensemble(16, n, 20)
     obs = measure(ens, x)
-    res = solve(ens, obs, SolverConfig(max_iters=3))
+    res = solve(ens, obs, max_iters=3)
     assert isinstance(res, RecoveryResult)
     assert not res.converged
     assert res.iterations == 3
@@ -480,7 +471,7 @@ def test_acceptance05_m8_outcomes_are_the_convex_programs():
         x = synthesize(random_instance(n, r, "sinusoid", derive_seed(0, "signal", r, m, t)))
         ens = sample_ensemble(m, n, derive_seed(0, "ensemble", r, m, t))
         obs = measure(ens, x)
-        res = solve(ens, obs, SolverConfig())
+        res = solve(ens, obs)
         y_true = weight_apply(x)
         recovered = success(res, x)
         k_op = _certify_truth(ens, y_true, r)
