@@ -204,7 +204,10 @@ def _run_recover(args) -> int:
     n, m, r = args.n, args.m, args.r
     x_true = None if args.input is None else load_signal(args.input)
     if n is None and x_true is not None:
-        n = _side_length(x_true)
+        try:
+            n = _side_length(x_true)
+        except ValueError as exc:
+            raise ValueError(f"--input {args.input}: {exc}") from None
     if n is None or m is None:
         raise ValueError("--n and --m are required (flags or config file; --input gives N)")
     if r is None and x_true is None:

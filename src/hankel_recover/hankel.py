@@ -49,8 +49,14 @@ def _adjoint_index(n: int) -> np.ndarray:
     return idx
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bool, which the count
+    rules reject although it is a ``numbers.Integral``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_count(value, name: str) -> None:
-    if not (isinstance(value, numbers.Integral) and value >= 1):
+    if not (_is_integer(value) and value >= 1):
         raise ValueError(f"{name} must be >= 1 and an integer, got {value}")
 
 

@@ -4,12 +4,11 @@ feasibility projections (affine and noise ball) used by the solver."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import _check_count, _check_finite, _check_vector, _side_length, weight_apply
+from .hankel import _check_count, _check_finite, _check_vector, _is_integer, _side_length, weight_apply
 
 __all__ = [
     "MeasurementEnsemble",
@@ -30,7 +29,7 @@ _NEWTON_MAX_STEPS = 50
 
 
 def _check_m(m, n: int, name: str = "m") -> None:
-    if not (isinstance(m, numbers.Integral) and 1 <= m <= 2 * n - 1):
+    if not (_is_integer(m) and 1 <= m <= 2 * n - 1):
         raise ValueError(f"{name} must satisfy 1 <= M <= 2N-1 = {2 * n - 1} and be an integer, got {m}")
 
 

@@ -3,12 +3,11 @@ random test instances, and pole extraction via a matrix pencil."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import _check_count, _check_finite, _side_length, hankel_map
+from .hankel import _check_count, _check_finite, _is_integer, _side_length, hankel_map
 
 __all__ = [
     "Mode",
@@ -27,7 +26,7 @@ _PENCIL_TOL = 1e-6
 
 
 def _check_r(r, n: int, name: str = "r") -> None:
-    if not (isinstance(r, numbers.Integral) and 1 <= r < 2 * n - 1):
+    if not (_is_integer(r) and 1 <= r < 2 * n - 1):
         raise ValueError(f"{name} must satisfy 1 <= R < 2N-1 = {2 * n - 1} and be an integer, got {r}")
 
 
@@ -126,7 +125,7 @@ def matrix_pencil(x, r: int) -> tuple[list[Mode], float]:
     """
     x = _check_finite(np.asarray(x, dtype=complex), "signal x")
     n = _side_length(x)
-    if not (isinstance(r, numbers.Integral) and 1 <= r <= n - 1):
+    if not (_is_integer(r) and 1 <= r <= n - 1):
         raise ValueError(f"need an integer 1 <= r <= N-1 = {n - 1}, got r = {r}")
     x_norm = np.linalg.norm(x)
     if x_norm == 0.0:

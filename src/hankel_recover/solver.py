@@ -38,6 +38,8 @@ class RecoveryResult:
     followed a plain one (no rho factor), both in the units of b.
     ``converged`` holds iff, within ``max_iters``, a sweep had
     primal_residual <= _TOL * ||Z||_F and dual_residual <= _TOL * ||y||_2.
+    ``converged=False`` with ``iterations < max_iters`` means that the solve
+    stopped because ``objective`` fell below its ``stop_below`` bound.
     """
 
     x_hat: np.ndarray
@@ -53,6 +55,8 @@ class RecoveryResult:
 # :func:`solve`) and the relative tolerance of both stopping tests.
 _RHO = 30.0
 _TOL = 1e-7
+# solve tests its stop_below bound every _BOUND_CHECK sweeps.
+_BOUND_CHECK = 10
 # svt's Gram route runs while n * eps * sigma_1^2 <= _GRAM_GUARD * tau^2.
 _GRAM_GUARD = 1e-6
 # Anderson acceleration combines the differences of the last _AA_MEMORY
@@ -200,7 +204,9 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
-def solve(ens: MeasurementEnsemble, obs: Observation, *, max_iters: int = MAX_ITERS) -> RecoveryResult:
+def solve(
+    ens: MeasurementEnsemble, obs: Observation, *, max_iters: int = MAX_ITERS, stop_below: float | None = None
+) -> RecoveryResult:
     """Minimize the nuclear norm of the lifted signal subject to data consistency.
 
     Splitting Z = G y with scaled dual U, each sweep does
@@ -229,11 +235,20 @@ def solve(ens: MeasurementEnsemble, obs: Observation, *, max_iters: int = MAX_IT
     not an error. The returned y is always the last projection's output, so it
     satisfies the constraint whatever the last step was.
 
+    With ``stop_below`` set, every ``_BOUND_CHECK`` sweeps before the last one
+    the solve also stops, with ``converged=False``, once ||G y||_* <
+    stop_below. That y is feasible, so the program's minimum is below the
+    bound too: a caller that knows a bound every acceptable minimizer exceeds
+    learns early that the solve will fail. The check never stops a solve whose
+    bound is at most the minimum, so it then changes no iterate.
+
     The noise level is ``obs.delta``, its only source (0 selects the
     equality-constrained program), and the side length N is ``ens.n``, which
     fixes the lift G.
     """
     _check_count(max_iters, "max_iters")
+    if stop_below is not None and math.isnan(stop_below):
+        raise ValueError("stop_below must not be NaN")
     b = _check_vector(obs.b, ens.m, "observation")
     delta = obs.delta
 
@@ -255,6 +270,7 @@ def solve(ens: MeasurementEnsemble, obs: Observation, *, max_iters: int = MAX_IT
     best = math.inf
     primal_res = dual_res = math.inf
     converged = False
+    objective = None
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
@@ -280,6 +296,11 @@ def solve(ens: MeasurementEnsemble, obs: Observation, *, max_iters: int = MAX_IT
             if primal_ok and dual_res <= _TOL * _norm(y):
                 converged = True
                 break
+        if stop_below is not None and iterations % _BOUND_CHECK == 0 and iterations < max_iters:
+            nuclear = float(np.linalg.svd(lifted, compute_uv=False).sum())
+            if nuclear < stop_below:
+                objective = nuclear
+                break
         np.subtract(z, lifted_y, out=steps[accel.slot])
         step_norm = math.sqrt(accel.push())
         if iterations == 1:
@@ -296,7 +317,8 @@ def solve(ens: MeasurementEnsemble, obs: Observation, *, max_iters: int = MAX_IT
             state = extrapolated
             lifted_y = lift_ctx.lift(state.y)
 
-    objective = float(np.linalg.svd(lifted, compute_uv=False).sum())
+    if objective is None:
+        objective = float(np.linalg.svd(lifted, compute_uv=False).sum())
     return RecoveryResult(
         x_hat=weight_apply(y, inverse=True),
         y_hat=y,

@@ -167,6 +167,15 @@ def test_recover_rejects_bad_input_file(tmp_path):
     assert run_cli(["recover", "--input", str(uneven), "--n", "2", "--m", "3"]) == 1
 
 
+def test_recover_even_length_input_without_n_names_the_file(tmp_path, capsys):
+    even = tmp_path / "even.json"
+    even.write_text(json.dumps({"real": [1.0] * 16, "imag": [0.0] * 16}))
+    assert run_cli(["recover", "--m", "5", "--input", str(even)]) == 1
+    err = capsys.readouterr().err
+    assert "usage: hankel-recover recover" in err
+    assert f"--input {even}" in err and "odd length" in err
+
+
 def test_recover_rejects_non_finite_input(tmp_path, capsys):
     # json accepts the NaN literal; the loader must reject it before the solver
     path = tmp_path / "nan.json"

@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from hankel_recover import (
+    MAX_ITERS,
     NormScan,
     PhaseGrid,
     derive_seed,
     emit_csv,
     lift,
+    measure,
+    random_instance,
     run_norm_scan,
     run_phase_transition,
+    sample_ensemble,
+    solve,
+    success,
+    synthesize,
     weight_apply,
 )
+from hankel_recover import harness as harness_module
 from hankel_recover.harness import THREADS_ENV_VAR, _top_singular_value, worker_count
 
 
@@ -107,6 +115,43 @@ def test_phase_transition_validates_before_work():
     for bad in (0.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="threshold"):
             run_phase_transition(8, [2], [8], trials=5, threshold=bad)
+
+
+def test_harness_count_rules_reject_bool():
+    with pytest.raises(ValueError, match="integer"):
+        run_phase_transition(4, [True], [7], True, max_iters=True)
+    with pytest.raises(ValueError, match="r must"):
+        run_phase_transition(4, [True], [7], 1)
+    with pytest.raises(ValueError, match="max_iters"):
+        run_phase_transition(4, [1], [7], 1, max_iters=True)
+    with pytest.raises(ValueError, match="trials must"):
+        run_norm_scan([4], True)
+
+
+def test_phase_transition_early_stops_move_no_outcome(monkeypatch):
+    # Each cell's rate equals the outcomes of plain solves, re-run trial by
+    # trial; the grid crosses the transition, so some of its solves stop early.
+    n, r_values, m_values, trials, seed = 16, (1, 2), (3, 5, 8, 12, 31), 5, 5
+    solves = []
+
+    def recording_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        solves.append(res)
+        return res
+
+    monkeypatch.setattr(harness_module, "solve", recording_solve)
+    grid = run_phase_transition(n, r_values, m_values, trials, base_seed=seed)
+    stopped = [res for res in solves if not res.converged and res.iterations < MAX_ITERS]
+    assert stopped, "no solve stopped below its bound"
+    for i, r in enumerate(r_values):
+        for j, m in enumerate(m_values):
+            outcomes = []
+            for t in range(trials):
+                x = synthesize(random_instance(n, r, rng_seed=derive_seed(seed, "signal", r, m, t)))
+                ens = sample_ensemble(m, n, derive_seed(seed, "ensemble", r, m, t))
+                outcomes.append(success(solve(ens, measure(ens, x)), x))
+            assert grid.success_rate[i, j] == np.mean(outcomes), f"R={r}, M={m}"
+    assert 0.0 < grid.success_rate.mean() < 1.0
 
 
 def test_phase_transition_cells_reproducible_in_isolation():

@@ -53,6 +53,14 @@ def test_sample_ensemble_entry_statistics():
     assert abs(col_sq.mean() / (2 * ens.m) - 1.0) < 0.02
 
 
+def test_sample_ensemble_rejects_bool_counts():
+    # bool is a numbers.Integral, but True is no count
+    with pytest.raises(ValueError, match="integer"):
+        sample_ensemble(True, 4)
+    with pytest.raises(ValueError, match="integer"):
+        sample_ensemble(1, True)
+
+
 def test_sample_ensemble_validation():
     with pytest.raises(ValueError):
         sample_ensemble(0, 4, 0)

@@ -108,6 +108,15 @@ def test_random_instance_validation():
     random_instance(np.int64(8), np.int64(1))  # numpy integers are integers
 
 
+def test_count_rules_reject_bool():
+    with pytest.raises(ValueError, match="integer"):
+        random_instance(True, 1)
+    with pytest.raises(ValueError, match="integer"):
+        random_instance(4, True)
+    with pytest.raises(ValueError, match="integer"):
+        matrix_pencil(np.ones(5), True)
+
+
 def test_matrix_pencil_constant_signal():
     modes, residual = matrix_pencil(np.ones(5), 1)
     assert residual < 1e-12

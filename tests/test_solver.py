@@ -371,6 +371,51 @@ def test_solve_nonconvergence_is_flagged_not_raised():
     assert res.iterations == 3
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6.0, 6.0))
+def test_weighted_lift_nuclear_norm_is_at_most_n_times_norm(n, seed, log_scale):
+    # ||G D e||_* <= sqrt(N) ||G D e||_F = sqrt(N) ||D e|| <= N ||e||: the bound
+    # behind the phase transition's certified failures
+    e = 10.0**log_scale * _rand_mat(np.random.default_rng(seed), 2 * n - 1)
+    nuclear = np.linalg.svd(lift(weight_apply(e)), compute_uv=False).sum()
+    assert nuclear <= n * np.linalg.norm(e) * (1.0 + 1e-12)
+
+
+def _below_transition_instance():
+    # N = 16, R = 2, M = 5: a solve that converges after more than 10 sweeps
+    x = synthesize(random_instance(16, 2, "sinusoid", 3))
+    ens = sample_ensemble(5, 16, 4)
+    return ens, measure(ens, x)
+
+
+def test_solve_bound_below_the_minimum_changes_nothing():
+    ens, obs = _below_transition_instance()
+    plain = solve(ens, obs)
+    assert plain.converged and plain.iterations > solver_module._BOUND_CHECK
+    bounded = solve(ens, obs, stop_below=(1.0 - 1e-6) * plain.objective)
+    assert np.array_equal(bounded.x_hat, plain.x_hat)
+    assert bounded.iterations == plain.iterations
+    assert bounded.converged and bounded.objective == plain.objective
+
+
+def test_solve_bound_above_the_minimum_stops_at_a_check():
+    ens, obs = _below_transition_instance()
+    plain = solve(ens, obs)
+    bound = 10.0 * plain.objective
+    res = solve(ens, obs, stop_below=bound)
+    assert not res.converged
+    assert res.iterations % solver_module._BOUND_CHECK == 0 and res.iterations < plain.iterations
+    assert np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b) <= 1e-9 * np.linalg.norm(obs.b)
+    assert res.objective < bound
+    assert res.objective == pytest.approx(np.linalg.svd(lift(res.y_hat), compute_uv=False).sum(), rel=1e-12)
+    # at the cap the stop is not taken, so converged=False with iterations <
+    # max_iters always means a stop below the bound
+    capped = solve(ens, obs, max_iters=solver_module._BOUND_CHECK, stop_below=bound)
+    assert capped.iterations == solver_module._BOUND_CHECK and not capped.converged
+    with pytest.raises(ValueError, match="stop_below"):
+        solve(ens, obs, stop_below=np.nan)
+
+
 def test_solve_dimension_mismatch():
     ens = sample_ensemble(6, 8, 0)
     with pytest.raises(ValueError, match="observation"):
