@@ -1,8 +1,8 @@
 """Command-line interface: single recoveries, phase-transition grids, and
 spectral-norm scans.
 
-Exit codes: 0 success (recover: solver converged), 1 usage error,
-2 recover finished without converging.
+Exit codes: 0 success (recover: solver converged, its duality gap within
+tolerance), 1 usage error, 2 recover finished without converging.
 """
 
 from __future__ import annotations
@@ -248,6 +248,7 @@ def _run_recover(args) -> int:
         "primal_residual": result.primal_residual,
         "dual_residual": result.dual_residual,
         "objective": result.objective,
+        "duality_gap": result.duality_gap,
         "relative_error": rel_error,
         "weighted_error": weighted_error,
         "success": bool(success(result, x_true, args.threshold)),
@@ -259,7 +260,7 @@ def _run_recover(args) -> int:
     summary = (
         f"recover n={n} m={m} r={r} delta={args.delta:g} seed={args.seed}: "
         f"rel_error={rel_error:.3e} converged={result.converged} "
-        f"iterations={result.iterations}"
+        f"iterations={result.iterations} duality_gap={result.duality_gap:.2e}"
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

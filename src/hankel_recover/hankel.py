@@ -145,14 +145,18 @@ def toeplitz_map(x) -> np.ndarray:
     return hankel_map(x)[:, ::-1]
 
 
+def _spectrum_rank(s: np.ndarray, size: int) -> int:
+    """The number of the descending singular values ``s`` of a matrix whose
+    larger side is ``size`` that exceed size * eps * sigma_1 * _RANK_MARGIN."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > size * np.finfo(float).eps * s[0] * _RANK_MARGIN))
+
+
 def numerical_rank(x_mat) -> int:
     """Singular values above max(shape) * eps * sigma_1 * _RANK_MARGIN."""
     x_mat = _check_finite(np.asarray(x_mat, dtype=complex), "matrix")
-    s = np.linalg.svd(x_mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cutoff = max(x_mat.shape) * np.finfo(float).eps * s[0] * _RANK_MARGIN
-    return int(np.count_nonzero(s > cutoff))
+    return _spectrum_rank(np.linalg.svd(x_mat, compute_uv=False), max(x_mat.shape))
 
 
 @dataclass(frozen=True)

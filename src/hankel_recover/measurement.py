@@ -139,6 +139,15 @@ def project_ball(ens: MeasurementEnsemble, v, b, delta: float) -> np.ndarray:
     return v - ens._v @ (mu * ens._s * wt / (1.0 + mu * s2))
 
 
+def _dual_value(ens: MeasurementEnsemble, g: np.ndarray, b: np.ndarray, delta: float) -> float:
+    """Re<mu, b> - delta ||mu|| for the mu with B^H mu = g, where g must lie
+    in range(B^H), which makes mu unique. Every y with ||B y - b|| <= delta
+    has Re<g, y> = Re<mu, B y> >= this value. With B = U S V^H, U^H mu =
+    S^-1 V^H g, so the cached SVD gives it without a solve."""
+    coef = (g.conj() @ ens._v).conj() / ens._s  # U^H mu
+    return float(np.vdot(coef, ens._u_h @ b).real) - delta * float(np.linalg.norm(coef))
+
+
 def _ball_multiplier(wt2: np.ndarray, s2: np.ndarray, delta: float) -> float:
     """The mu > 0 with ||r(mu)|| = delta, where |r_i(mu)|^2 = wt2_i / (1 + mu s2_i)^2
     and ||r(0)|| > delta: the trust-region secular equation with Hessian

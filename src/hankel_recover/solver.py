@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hankel import HankelLift, _check_count, _check_finite, _check_vector, weight_apply
-from .measurement import MeasurementEnsemble, Observation, project_affine, project_ball
+from .measurement import MeasurementEnsemble, Observation, _dual_value, project_affine, project_ball
 
 __all__ = ["MAX_ITERS", "RecoveryResult", "SUCCESS_THRESHOLD", "solve", "success", "svt"]
 
@@ -33,13 +33,18 @@ class RecoveryResult:
     ``x_hat`` is the unweighted signal, ``y_hat`` the weighted variable the
     solver iterates on, taken from the last projection, so it satisfies the
     constraint; ``objective`` is the nuclear norm of its lift.
+    ``duality_gap`` is the certificate of the last sweep, (f_up - f_lo) /
+    f_up (0 when f_up = 0), with f_up >= ``objective`` and f_lo <= the
+    program's minimum (see :func:`solve`), so ``objective`` exceeds the
+    minimum by at most duality_gap * f_up. The dual point behind f_lo is
+    feasible by construction, so there is no dual infeasibility to report.
     ``primal_residual`` is ||G y - Z||_F of the last sweep and
-    ``dual_residual`` is ||G*(Z_k - Z_{k-1})||_2 of the last sweep that
-    followed a plain one (no rho factor), both in the units of b.
-    ``converged`` holds iff, within ``max_iters``, a sweep had
-    primal_residual <= _TOL * ||Z||_F and dual_residual <= _TOL * ||y||_2.
-    ``converged=False`` with ``iterations < max_iters`` means that the solve
-    stopped because ``objective`` fell below its ``stop_below`` bound.
+    ``dual_residual`` is ||G*(Z_k - Z_{k-1})||_2 of the last two sweeps
+    (Z_0 = 0), both in the units of b: diagnostics that no stopping rule
+    reads. ``converged`` holds iff, within ``max_iters``, a sweep had
+    duality_gap <= _GAP_TOL. ``converged=False`` with ``iterations <
+    max_iters`` means that the solve stopped because f_up fell below its
+    ``stop_below`` bound.
     """
 
     x_hat: np.ndarray
@@ -48,15 +53,18 @@ class RecoveryResult:
     primal_residual: float
     dual_residual: float
     objective: float
+    duality_gap: float
     converged: bool
 
 
 # The dimensionless ADMM penalty (rho_eff = _RHO * sqrt(M) / ||b||, see
-# :func:`solve`) and the relative tolerance of both stopping tests.
+# :func:`solve`) and the relative duality gap at which a solve stops.
 _RHO = 30.0
-_TOL = 1e-7
-# solve tests its stop_below bound every _BOUND_CHECK sweeps.
-_BOUND_CHECK = 10
+_GAP_TOL = 1e-5
+# Both bounds of the gap are widened by this fraction of f_up, for the
+# rounding of the inner products that form them (Re<X - Z, Z> / tau matched
+# ||Z||_* from an SVD to 3e-14 on 533 recorded N = 64 iterates).
+_ROUNDING = 1e-12
 # svt's Gram route runs while n * eps * sigma_1^2 <= _GRAM_GUARD * tau^2.
 _GRAM_GUARD = 1e-6
 # Anderson acceleration combines the differences of the last _AA_MEMORY
@@ -204,6 +212,30 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
+def _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y, adj_dual, step) -> tuple[float, float]:
+    """Bounds f_up >= ||G y||_* and f_lo <= the program's minimum from the
+    quantities of one sweep: X = G y_s + U_s (y_s, U_s the state it started
+    from), Z = svt(X, tau), ``primal_res`` = ||G y - Z||_F, ``adj_dual`` =
+    y - v = G*U+ for U+ = U_s + G y - Z, and ``step`` = ||y - y_s||.
+
+    f_up = Re<X - Z, Z> / tau + sqrt(N) ||G y - Z||_F: (X - Z) / tau is a
+    subgradient of the nuclear norm at Z, so the first term is ||Z||_*, and
+    G y - Z has rank at most N. U+ = (X - Z) + G (y - y_s) has ||U+||_op <=
+    tau + step, so W = U+ / (tau + step) is dual feasible: ||W||_op <= 1, and
+    G*W = (y - v) / (tau + step) lies in range(B^H), since the projection
+    moved v along it. Every feasible point then has ||G y'||_* >= Re<W, G y'>
+    >= f_lo, with f_lo = Re<G*W, y> for delta = 0 (B y = b) and
+    :func:`_dual_value` otherwise.
+    """
+    upper = np.vdot(x_minus_z, z).real / tau + math.sqrt(ens.n) * primal_res
+    if delta == 0.0:
+        lower = np.vdot(adj_dual, y).real
+    else:
+        lower = _dual_value(ens, adj_dual, b, delta)
+    slack = _ROUNDING * upper
+    return upper + slack, lower / (tau + step) - slack
+
+
 def solve(
     ens: MeasurementEnsemble, obs: Observation, *, max_iters: int = MAX_ITERS, stop_below: float | None = None
 ) -> RecoveryResult:
@@ -226,21 +258,24 @@ def solve(
     the fixed-point residual Z - G y (the step of the Douglas-Rachford
     variable G y - U, whose norm plain sweeps never increase). The plain
     image is kept instead, and the memory cleared, when that residual exceeds
-    the smallest seen so far; it is also kept when the primal test passes, so
-    that the following sweep can run the dual test exactly.
+    the smallest seen so far.
 
-    Terminates when ||G y - Z||_F <= _TOL * ||Z||_F and, across two
-    consecutive plain sweeps (Z_0 = 0), ||G*(Z_k - Z_{k-1})||_2 <=
-    _TOL * ||y||_2; hitting ``max_iters`` sweeps yields ``converged=False``,
-    not an error. The returned y is always the last projection's output, so it
-    satisfies the constraint whatever the last step was.
+    Every sweep bounds the program's minimum from both sides with quantities
+    it already holds, two inner products and no SVD (see ``_bounds``):
+    f_up >= ||G y||_* of its projection output y and f_lo <= the minimum,
+    from a dual point that is feasible by construction. The solve terminates
+    when f_up - f_lo <= _GAP_TOL * f_up, so ``objective`` is then within that
+    fraction of the minimum; hitting ``max_iters`` sweeps yields
+    ``converged=False``, not an error. The returned y is always the last
+    projection's output, so it satisfies the constraint whatever the last step
+    was.
 
-    With ``stop_below`` set, every ``_BOUND_CHECK`` sweeps before the last one
-    the solve also stops, with ``converged=False``, once ||G y||_* <
-    stop_below. That y is feasible, so the program's minimum is below the
-    bound too: a caller that knows a bound every acceptable minimizer exceeds
-    learns early that the solve will fail. The check never stops a solve whose
-    bound is at most the minimum, so it then changes no iterate.
+    With ``stop_below`` set, the solve also stops, with ``converged=False``,
+    at the first sweep before the last one whose f_up < stop_below. That y is
+    feasible, so the program's minimum is below the bound too: a caller that
+    knows a bound every acceptable minimizer exceeds learns early that the
+    solve will fail. The check never stops a solve whose bound is at most the
+    minimum, so it then changes no iterate.
 
     The noise level is ``obs.delta``, its only source (0 selects the
     equality-constrained program), and the side length N is ``ens.n``, which
@@ -255,7 +290,9 @@ def solve(
     n = ens.n
     ylen = ens.ambient_len
     lift_ctx = HankelLift(n)
-    tau = _norm(b) / (_RHO * math.sqrt(ens.m))  # 1 / rho_eff
+    # 1 / rho_eff; b = 0 keeps every iterate at 0 for any tau, and 1.0 keeps
+    # the bounds' division by tau defined
+    tau = _norm(b) / (_RHO * math.sqrt(ens.m)) or 1.0
     # Each sweep writes its image (U, y, G*U) and its step Z - G y into the
     # next slot of the acceleration ring; an extrapolated state has its own.
     accel = _Anderson(n * n, n * n + 2 * ylen)
@@ -266,16 +303,14 @@ def solve(
     state = _Packed(np.zeros(n * n + 2 * ylen, dtype=complex), n)
     lifted_y = np.zeros((n, n), dtype=complex)  # G y of the current state
     adj_z = np.zeros(ylen, dtype=complex)  # G*Z of the last sweep, Z_0 = 0
-    plain = True  # the current state is the previous sweep's image
     best = math.inf
-    primal_res = dual_res = math.inf
     converged = False
-    objective = None
-    iterations = 0
 
     for iterations in range(1, max_iters + 1):
         adj_z_prev = adj_z
-        z = svt(lifted_y + state.dual, tau)
+        x_minus_z = lifted_y + state.dual  # X until Z is subtracted
+        z = svt(x_minus_z, tau)
+        x_minus_z -= z
         adj_z = lift_ctx.lift_adjoint(z)
         v = adj_z - state.adj_dual
         if delta == 0.0:
@@ -290,25 +325,24 @@ def solve(
         image.y[:] = y
         np.subtract(y, v, out=image.adj_dual)  # G*U + y - G*Z
 
-        primal_ok = primal_res <= _TOL * _norm(z)
-        if plain:
-            dual_res = _norm(adj_z - adj_z_prev)
-            if primal_ok and dual_res <= _TOL * _norm(y):
-                converged = True
-                break
-        if stop_below is not None and iterations % _BOUND_CHECK == 0 and iterations < max_iters:
-            nuclear = float(np.linalg.svd(lifted, compute_uv=False).sum())
-            if nuclear < stop_below:
-                objective = nuclear
-                break
+        upper, lower = _bounds(
+            ens, b, delta, tau, x_minus_z, z, primal_res, y, image.adj_dual, _norm(y - state.y)
+        )
+        gap = (upper - lower) / upper if upper else 0.0
+        if gap <= _GAP_TOL:
+            converged = True
+            break
+        if stop_below is not None and upper < stop_below and iterations < max_iters:
+            break
         np.subtract(z, lifted_y, out=steps[accel.slot])
         step_norm = math.sqrt(accel.push())
         if iterations == 1:
             accel.restart(keep=0)  # the zero start is no image of a sweep
+            plain = True
         else:
             if step_norm > best:
                 accel.restart()
-            plain = primal_ok or step_norm > best or not accel.extrapolate(extrapolated_re)
+            plain = step_norm > best or not accel.extrapolate(extrapolated_re)
             best = min(best, step_norm)
         if plain:
             state = image
@@ -317,15 +351,14 @@ def solve(
             state = extrapolated
             lifted_y = lift_ctx.lift(state.y)
 
-    if objective is None:
-        objective = float(np.linalg.svd(lifted, compute_uv=False).sum())
     return RecoveryResult(
         x_hat=weight_apply(y, inverse=True),
         y_hat=y,
         iterations=iterations,
         primal_residual=primal_res,
-        dual_residual=dual_res,
-        objective=objective,
+        dual_residual=_norm(adj_z - adj_z_prev),
+        objective=float(np.linalg.svd(lifted, compute_uv=False).sum()),
+        duality_gap=gap,
         converged=converged,
     )
 

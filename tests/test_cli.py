@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hankel_recover import random_instance, synthesize
+from hankel_recover import MAX_ITERS, random_instance, synthesize
+from hankel_recover import solver as solver_module
 from hankel_recover.cli import load_signal, main
 
 
@@ -130,6 +131,18 @@ def test_recover_nonconverged_exit_code(tmp_path):
     )
     assert code == 2
     assert json.loads(out.read_text())["converged"] is False
+
+
+def test_recover_noisy_program_converges_on_its_certificate(tmp_path, capsys):
+    out = tmp_path / "noisy.json"
+    code = run_cli(
+        ["recover", "--n", "32", "--r", "2", "--m", "40", "--delta", "1e-2", "--seed", "1", "--out", str(out)]
+    )
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["converged"] is True and payload["iterations"] < MAX_ITERS
+    assert payload["duality_gap"] <= solver_module._GAP_TOL
+    assert f"duality_gap={payload['duality_gap']:.2e}" in capsys.readouterr().out
 
 
 def test_recover_stdout_json_when_no_out(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankel_recover import (
     MAX_ITERS,
@@ -10,7 +12,9 @@ from hankel_recover import (
     derive_seed,
     emit_csv,
     lift,
+    lift_adjoint,
     measure,
+    numerical_rank,
     random_instance,
     run_norm_scan,
     run_phase_transition,
@@ -152,6 +156,39 @@ def test_phase_transition_early_stops_move_no_outcome(monkeypatch):
                 outcomes.append(success(solve(ens, measure(ens, x)), x))
             assert grid.success_rate[i, j] == np.mean(outcomes), f"R={r}, M={m}"
     assert 0.0 < grid.success_rate.mean() < 1.0
+
+
+def _nuclear(y):
+    return np.linalg.svd(lift(y), compute_uv=False).sum()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 24),
+    r=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_threshold=st.floats(-4.0, -1.0),
+    log_scale=st.floats(-6.0, 6.0),
+)
+def test_success_floor_is_below_every_success(n, r, seed, log_threshold, log_scale):
+    r = min(r, 2 * n - 2)
+    x = 10.0**log_scale * synthesize(random_instance(n, r, rng_seed=seed))
+    threshold = 10.0**log_threshold
+    radius = threshold * np.linalg.norm(x)
+    floor = harness_module._success_floor(x, n, threshold)
+    # at least the plain bound ||G D x||_* - N threshold ||x||
+    assert floor >= _nuclear(weight_apply(x)) - n * radius * (1.0 + 1e-12)
+    # successes on the boundary: the steepest first-order descent direction
+    # of the nuclear norm, which the floor's slope term prices exactly, and
+    # random directions
+    u, _, vh = np.linalg.svd(lift(weight_apply(x)))
+    k = numerical_rank(lift(weight_apply(x)))
+    rng = np.random.default_rng(seed)
+    directions = [-weight_apply(lift_adjoint(u[:, :k] @ vh[:k]))]
+    directions += [rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1) for _ in range(5)]
+    for e in directions:
+        e *= radius / np.linalg.norm(e)
+        assert _nuclear(weight_apply(x + e)) >= floor - 1e-12 * _nuclear(weight_apply(x))
 
 
 def test_phase_transition_cells_reproducible_in_isolation():

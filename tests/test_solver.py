@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankel_recover import (
+    MAX_ITERS,
     Observation,
     RecoveryResult,
     derive_seed,
@@ -151,10 +152,10 @@ def test_svt_matches_svd_definition_on_admm_iterates(monkeypatch):
     monkeypatch.setattr(solver_module, "svt", recording)
     n = 64
     sweeps = 0
-    for r, m, seed in ((2, 12, 5), (3, 60, 6)):
+    for r, m, seed, cap in ((2, 12, 5, 60), (3, 60, 6, 40)):
         x = synthesize(random_instance(n, r, "sinusoid", seed))
         ens = sample_ensemble(m, n, seed + 100)
-        sweeps += solve(ens, measure(ens, x), max_iters=40).iterations
+        sweeps += solve(ens, measure(ens, x), max_iters=cap).iterations
     assert len(inputs) == sweeps >= 75  # one svt per sweep
     for x_mat, tau in inputs[1::3]:
         _assert_matches_svd_definition(svt(x_mat, tau), x_mat, tau)
@@ -382,7 +383,7 @@ def test_weighted_lift_nuclear_norm_is_at_most_n_times_norm(n, seed, log_scale):
 
 
 def _below_transition_instance():
-    # N = 16, R = 2, M = 5: a solve that converges after more than 10 sweeps
+    # N = 16, R = 2, M = 5: a solve that converges after about 120 sweeps
     x = synthesize(random_instance(16, 2, "sinusoid", 3))
     ens = sample_ensemble(5, 16, 4)
     return ens, measure(ens, x)
@@ -391,29 +392,102 @@ def _below_transition_instance():
 def test_solve_bound_below_the_minimum_changes_nothing():
     ens, obs = _below_transition_instance()
     plain = solve(ens, obs)
-    assert plain.converged and plain.iterations > solver_module._BOUND_CHECK
+    assert plain.converged and plain.iterations > 1
     bounded = solve(ens, obs, stop_below=(1.0 - 1e-6) * plain.objective)
     assert np.array_equal(bounded.x_hat, plain.x_hat)
     assert bounded.iterations == plain.iterations
     assert bounded.converged and bounded.objective == plain.objective
 
 
-def test_solve_bound_above_the_minimum_stops_at_a_check():
+def test_solve_bound_above_the_minimum_stops_at_a_check(monkeypatch):
     ens, obs = _below_transition_instance()
+    uppers = []
+    real_bounds = solver_module._bounds
+
+    def recording_bounds(*args):
+        upper, lower = real_bounds(*args)
+        uppers.append(upper)
+        return upper, lower
+
+    monkeypatch.setattr(solver_module, "_bounds", recording_bounds)
     plain = solve(ens, obs)
-    bound = 10.0 * plain.objective
+    # every sweep is a check: the solve stops at the first sweep whose upper
+    # bound on ||G y||_* falls below the bound, here not the first sweep
+    bound = 1.2 * plain.objective
+    first = next(k for k, upper in enumerate(uppers, 1) if upper < bound)
+    assert 1 < first < plain.iterations
     res = solve(ens, obs, stop_below=bound)
     assert not res.converged
-    assert res.iterations % solver_module._BOUND_CHECK == 0 and res.iterations < plain.iterations
+    assert res.iterations == first
     assert np.linalg.norm(ens.b_matrix @ res.y_hat - obs.b) <= 1e-9 * np.linalg.norm(obs.b)
     assert res.objective < bound
     assert res.objective == pytest.approx(np.linalg.svd(lift(res.y_hat), compute_uv=False).sum(), rel=1e-12)
     # at the cap the stop is not taken, so converged=False with iterations <
     # max_iters always means a stop below the bound
-    capped = solve(ens, obs, max_iters=solver_module._BOUND_CHECK, stop_below=bound)
-    assert capped.iterations == solver_module._BOUND_CHECK and not capped.converged
+    capped = solve(ens, obs, max_iters=first, stop_below=bound)
+    assert capped.iterations == first and not capped.converged
     with pytest.raises(ValueError, match="stop_below"):
         solve(ens, obs, stop_below=np.nan)
+
+
+def _solve_recording_bounds(ens, obs, **kwargs):
+    """solve(ens, obs, **kwargs) and the bounds (f_up, f_lo) of its last sweep."""
+    seen = []
+    real_bounds = solver_module._bounds
+
+    def recording_bounds(*args):
+        bounds = real_bounds(*args)
+        seen.append(bounds)
+        return bounds
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_module, "_bounds", recording_bounds)
+        res = solve(ens, obs, **kwargs)
+    return res, seen[-1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 16),
+    r=st.integers(1, 3),
+    m_share=st.floats(0.1, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    log_noise=st.one_of(st.none(), st.floats(-4.0, -1.0)),
+    max_iters=st.integers(1, 60),
+    log_scale=st.floats(-6.0, 6.0),
+)
+def test_duality_gap_brackets_the_minimum(n, r, m_share, seed, log_noise, max_iters, log_scale):
+    # f_lo <= the minimum <= ||G D x_true||_* (the truth is feasible) and
+    # f_up >= ||G y_hat||_*, after any number of sweeps and for both programs
+    m = max(1, round(m_share * (2 * n - 1)))
+    x = synthesize(random_instance(n, r, "sinusoid", derive_seed(seed, "signal")))
+    ens = sample_ensemble(m, n, derive_seed(seed, "ensemble"))
+    obs = measure(ens, x)
+    if log_noise is not None:
+        obs = measure(ens, x, 10.0**log_noise * np.linalg.norm(obs.b), derive_seed(seed, "noise"))
+    res, (upper, lower) = _solve_recording_bounds(ens, obs, max_iters=max_iters)
+    assert lower <= np.linalg.svd(lift(weight_apply(x)), compute_uv=False).sum()
+    assert upper >= np.linalg.svd(lift(res.y_hat), compute_uv=False).sum()
+    assert res.duality_gap == pytest.approx((upper - lower) / upper, rel=1e-12)
+    assert res.converged == (res.duality_gap <= solver_module._GAP_TOL)
+    # the relative gap is scale-free: b -> s b and delta -> s delta
+    scale = 10.0**log_scale
+    scaled = solve(ens, Observation(scale * obs.b, scale * obs.delta), max_iters=max_iters)
+    assert scaled.iterations == res.iterations
+    assert scaled.duality_gap == pytest.approx(res.duality_gap, rel=1e-6, abs=1e-12)
+
+
+def test_found_success_stops_on_its_certificate():
+    # base seed 14, N = 64, R = 3, M = 36, trial 0 of the phase transition:
+    # a success whose primal residual stalls near 1.2e-4 while the iterate no
+    # longer moves, so only the gap can stop it before the cap
+    n, r, m = 64, 3, 36
+    x = synthesize(random_instance(n, r, "sinusoid", derive_seed(14, "signal", r, m, 0)))
+    ens = sample_ensemble(m, n, derive_seed(14, "ensemble", r, m, 0))
+    res = solve(ens, measure(ens, x))
+    assert res.converged and res.iterations < MAX_ITERS
+    assert res.duality_gap <= solver_module._GAP_TOL
+    assert success(res, x)
 
 
 def test_solve_dimension_mismatch():
@@ -435,6 +509,7 @@ def test_success_threshold_is_closed():
         primal_residual=0.0,
         dual_residual=0.0,
         objective=0.0,
+        duality_gap=0.0,
         converged=True,
     )
     assert success(res, truth, 0.25)  # boundary counts as success
@@ -446,6 +521,7 @@ def test_success_threshold_is_closed():
         primal_residual=0.0,
         dual_residual=0.0,
         objective=0.0,
+        duality_gap=0.0,
         converged=True,
     )
     assert success(exact, truth, 1e-12)
