@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -166,6 +167,15 @@ def _parse(parser, argv):
         raise
 
 
+def _check_out(path) -> None:
+    """--out must name a file that can be written, so that no work is lost
+    to a bad path."""
+    folder = os.path.dirname(os.path.abspath(path))
+    writable = os.access(path if os.path.exists(path) else folder, os.W_OK)
+    if os.path.isdir(path) or not os.path.isdir(folder) or not writable:
+        raise ValueError(f"--out {path} is not a writable file path")
+
+
 def load_signal(path) -> np.ndarray:
     """Read a signal JSON file: an object with equal-length arrays
     ``real`` and ``imag`` of finite entries, not all zero. Any fault in the
@@ -220,6 +230,8 @@ def _run_recover(args) -> int:
     _check_count(args.max_iters, "--max-iters")
     if r is not None:
         _check_r(r, n, "--r")
+    if args.out is not None:
+        _check_out(args.out)
 
     if x_true is None:
         x_true = synthesize(random_instance(n, r, args.family, derive_seed(args.seed, "signal")))
@@ -283,6 +295,7 @@ def _run_phase_transition(args) -> int:
     _check_positive(args.threshold, "--threshold")
     _check_seed(args.seed, "--seed")
     _check_count(args.max_iters, "--max-iters")
+    _check_out(args.out)
     grid = run_phase_transition(
         args.n,
         args.r,
@@ -309,6 +322,7 @@ def _run_norm_scan(args) -> int:
         _check_count(n, "--n")
     _check_scan_trials(args.trials, "--trials")
     _check_seed(args.seed, "--seed")
+    _check_out(args.out)
     scan = run_norm_scan(args.n, args.trials, args.seed)
     emit_csv(scan, args.out)
     for k, n in enumerate(scan.n_values):

@@ -37,8 +37,8 @@ _LANCZOS_CHECK = 4
 
 
 def _check_seed(seed, name: str = "seed") -> None:
-    if not -(2**127) <= seed < 2**127:  # so that NaN fails
-        raise ValueError(f"{name} must satisfy -2**127 <= seed < 2**127, got {seed}")
+    if not (_is_integer(seed) and -(2**127) <= seed < 2**127):
+        raise ValueError(f"{name} must satisfy -2**127 <= seed < 2**127 and be an integer, got {seed}")
 
 
 def derive_seed(base_seed: int, *parts) -> int:
@@ -193,59 +193,51 @@ def run_phase_transition(
 
 
 def _top_singular_value(a: np.ndarray) -> float:
-    """Largest singular value of a, by Golub-Kahan-Lanczos bidiagonalization.
+    """Largest singular value of a, by Lanczos on A^H A.
 
-    From a fixed start vector v_1 (drawn from its own seeded generator, so no
-    caller's random stream moves), step k extends orthonormal bases U and V,
-    both fully reorthogonalized, and the upper bidiagonal B_k = U^H A V with
-    alpha_k on its diagonal and beta_k above it. A^H u is formed as
-    conj(A^T conj(u)), so ``a`` is never copied.
+    A wide matrix is read as its transpose, so A^H A is n x n with n =
+    min(rows, columns). From a fixed start vector v_1 (drawn from its own
+    seeded generator, so no caller's random stream moves), step k extends one
+    fully reorthogonalized orthonormal basis V and the real tridiagonal T_k =
+    V^H A^H A V, with alpha_k on its diagonal and beta_k beside it. A^H A v is
+    formed as conj(A^T conj(A v)), so ``a`` is never copied.
 
-    Returns the top Ritz value theta_1 of B_k once its triplet's residual
-    bound beta_k |p_k| (p the top left singular vector of B_k) is at most
-    _LANCZOS_TOL * theta_1, at a breakdown, or after min(m, n) steps, where
-    the largest singular value of [B_k | beta_k e_k] is exact. A breakdown is
-    an alpha_k at most _LANCZOS_TOL times the largest ||A^H u_j|| so far: it
-    is then taken as 0, the Krylov space is invariant and theta_1 is exact to
-    within the tolerance, since ||A^H u_j|| <= sigma_1. A zero matrix returns
-    0.0.
+    Returns sqrt(theta_1), theta_1 the top eigenvalue of T_k, once its Ritz
+    pair's residual bound beta_k |x_k| (x the top eigenvector of T_k) is at
+    most _LANCZOS_TOL * theta_1, at a breakdown, or after n steps, where T_n
+    has the eigenvalues of A^H A. A breakdown is a beta_k at most _LANCZOS_TOL
+    times the largest ||A^H A v_j|| so far: the Krylov space is then
+    invariant and theta_1 is exact to within the tolerance, since ||A^H A
+    v_j|| <= sigma_1^2. A zero matrix returns 0.0.
     """
-    m, n = a.shape
-    steps = min(m, n)
-    us = np.empty((steps, m), dtype=complex)
-    vs = np.empty((steps, n), dtype=complex)
-    bidiag = np.zeros((steps, steps + 1))
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    n = a.shape[1]
+    vs = np.empty((n, n), dtype=complex)
+    tridiag = np.zeros((n, n))
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= _norm(v)
-    scale = 0.0  # the largest ||A^H u_j|| = hypot(alpha_j, beta_j) so far, <= sigma_1
-    for k in range(steps):
+    scale = 0.0  # the largest ||A^H A v_j|| so far, <= sigma_1^2
+    for k in range(n):
         vs[k] = v
-        p = a @ v
+        w = (a.T @ (a @ v).conj()).conj()
+        scale = max(scale, _norm(w))
+        alpha = tridiag[k, k] = np.vdot(v, w).real
+        w -= alpha * v
         if k:
-            p -= bidiag[k - 1, k] * us[k - 1]
-            p -= (p.conj() @ us[:k].T).conj() @ us[:k]
-        alpha = _norm(p)
-        if alpha <= _LANCZOS_TOL * scale:  # breakdown: alpha_k = 0; at k = 0, a = 0
-            b = bidiag[:k, : k + 1]
-            return math.sqrt(np.linalg.eigvalsh(b @ b.T)[-1]) if k else 0.0
-        bidiag[k, k] = alpha
-        u = np.divide(p, alpha, out=us[k])
-        r = (a.T @ u.conj()).conj()
-        r -= alpha * v
-        r -= (r.conj() @ vs[: k + 1].T).conj() @ vs[: k + 1]
-        beta = bidiag[k, k + 1] = _norm(r)
-        scale = max(scale, math.hypot(alpha, beta))
-        last = k + 1 == steps
-        if last or (k + 1) % _LANCZOS_CHECK == 0 or beta <= _LANCZOS_TOL * scale:
-            # at the last step U or V spans its whole space, and [B_k | beta_k e_k]
-            # = U^H A [V | v_{k+1}] has the singular values of A
-            b = bidiag[: k + 1, : k + 1 + last]
-            w, x = np.linalg.eigh(b @ b.T)  # x: left singular vectors of b
-            theta = math.sqrt(w[-1])
-            if last or beta * abs(x[k, -1]) <= _LANCZOS_TOL * theta:
-                return theta
-        v = r / beta
+            w -= tridiag[k - 1, k] * vs[k - 1]
+        w -= (w.conj() @ vs[: k + 1].T).conj() @ vs[: k + 1]
+        beta = _norm(w)
+        t = tridiag[: k + 1, : k + 1]
+        if beta <= _LANCZOS_TOL * scale:  # breakdown; at k = 0, a = 0
+            return math.sqrt(np.linalg.eigvalsh(t)[-1])
+        if k + 1 == n or (k + 1) % _LANCZOS_CHECK == 0:
+            theta, x = np.linalg.eigh(t)
+            if k + 1 == n or beta * abs(x[k, -1]) <= _LANCZOS_TOL * theta[-1]:
+                return math.sqrt(theta[-1])
+        tridiag[k, k + 1] = tridiag[k + 1, k] = beta
+        v = w / beta
 
 
 def run_norm_scan(n_values, trials: int, rng_seed: int = 0) -> NormScan:

@@ -193,18 +193,9 @@ class _Anderson:
         return True
 
 
-class _Packed:
-    """The solver state (U, y, G*U) as one contiguous vector, with views
-    onto its three parts."""
-
-    __slots__ = ("flat", "dual", "y", "adj_dual")
-
-    def __init__(self, flat: np.ndarray, n: int):
-        size, ylen = n * n, 2 * n - 1
-        self.flat = flat
-        self.dual = flat[:size].reshape(n, n)
-        self.y = flat[size : size + ylen]
-        self.adj_dual = flat[size + ylen :]
+def _views(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The views (U, y) onto a solver state packed as one contiguous vector."""
+    return flat[: n * n].reshape(n, n), flat[n * n :]
 
 
 def _norm(a: np.ndarray) -> float:
@@ -212,11 +203,12 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
-def _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y, adj_dual, step) -> tuple[float, float]:
+def _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y, y_minus_v, step) -> tuple[float, float]:
     """Bounds f_up >= ||G y||_* and f_lo <= the program's minimum from the
     quantities of one sweep: X = G y_s + U_s (y_s, U_s the state it started
-    from), Z = svt(X, tau), ``primal_res`` = ||G y - Z||_F, ``adj_dual`` =
-    y - v = G*U+ for U+ = U_s + G y - Z, and ``step`` = ||y - y_s||.
+    from), Z = svt(X, tau), v = G*(Z - U_s), ``primal_res`` = ||G y - Z||_F,
+    ``y_minus_v`` = y - v = G*U+ for U+ = U_s + G y - Z (G*G = I), and
+    ``step`` = ||y - y_s||.
 
     f_up = Re<X - Z, Z> / tau + sqrt(N) ||G y - Z||_F: (X - Z) / tau is a
     subgradient of the nuclear norm at Z, so the first term is ||Z||_*, and
@@ -229,9 +221,9 @@ def _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y, adj_dual, step) -> 
     """
     upper = np.vdot(x_minus_z, z).real / tau + math.sqrt(ens.n) * primal_res
     if delta == 0.0:
-        lower = np.vdot(adj_dual, y).real
+        lower = np.vdot(y_minus_v, y).real
     else:
-        lower = _dual_value(ens, adj_dual, b, delta)
+        lower = _dual_value(ens, y_minus_v, b, delta)
     slack = _ROUNDING * upper
     return upper + slack, lower / (tau + step) - slack
 
@@ -250,9 +242,9 @@ def solve(
     with rho_eff = _RHO * sqrt(M) / ||b||: the penalty is relative to the rms
     of b, so solving for s * b returns s times the solution for b. The
     y-update collapses to a vector projection because the lift is an
-    isometry, and G*U is carried along as G*U + y - G*Z since G*G = I.
+    isometry, and v = G*(Z - U) is the sweep's one adjoint call.
 
-    A sweep maps the packed state (U, y, G*U) to its image. Type-II Anderson
+    A sweep maps the packed state (U, y) to its image. Type-II Anderson
     acceleration with memory ``_AA_MEMORY`` replaces the next state by the
     image minus the combination of past image differences that best cancels
     the fixed-point residual Z - G y (the step of the Douglas-Rachford
@@ -293,41 +285,37 @@ def solve(
     # 1 / rho_eff; b = 0 keeps every iterate at 0 for any tau, and 1.0 keeps
     # the bounds' division by tau defined
     tau = _norm(b) / (_RHO * math.sqrt(ens.m)) or 1.0
-    # Each sweep writes its image (U, y, G*U) and its step Z - G y into the
-    # next slot of the acceleration ring; an extrapolated state has its own.
-    accel = _Anderson(n * n, n * n + 2 * ylen)
-    images = [_Packed(row, n) for row in accel.img]
+    # Each sweep writes its image (U, y) and its step Z - G y into the next
+    # slot of the acceleration ring; an extrapolated state has its own.
+    accel = _Anderson(n * n, n * n + ylen)
+    images = [_views(row, n) for row in accel.img]
     steps = [row.reshape(n, n) for row in accel.res]
-    extrapolated = _Packed(np.empty(n * n + 2 * ylen, dtype=complex), n)
-    extrapolated_re = extrapolated.flat.view(float)
-    state = _Packed(np.zeros(n * n + 2 * ylen, dtype=complex), n)
-    lifted_y = np.zeros((n, n), dtype=complex)  # G y of the current state
-    adj_z = np.zeros(ylen, dtype=complex)  # G*Z of the last sweep, Z_0 = 0
+    extrapolated = np.empty(n * n + ylen, dtype=complex)
+    extrapolated_re = extrapolated.view(float)
+    dual, y_s = _views(np.zeros(n * n + ylen, dtype=complex), n)  # the state (U_s, y_s)
+    lifted_y = np.zeros((n, n), dtype=complex)  # G y_s
+    z = np.zeros((n, n), dtype=complex)  # Z of the last sweep, Z_0 = 0
     best = math.inf
     converged = False
 
     for iterations in range(1, max_iters + 1):
-        adj_z_prev = adj_z
-        x_minus_z = lifted_y + state.dual  # X until Z is subtracted
+        z_prev = z
+        x_minus_z = lifted_y + dual  # X until Z is subtracted
         z = svt(x_minus_z, tau)
         x_minus_z -= z
-        adj_z = lift_ctx.lift_adjoint(z)
-        v = adj_z - state.adj_dual
+        v = lift_ctx.lift_adjoint(z - dual)
         if delta == 0.0:
             y = project_affine(ens, v, b)
         else:
             y = project_ball(ens, v, b, delta)
         lifted = lift_ctx.lift(y)
-        image = images[accel.slot]
-        np.subtract(lifted, z, out=image.dual)  # G y - Z, the primal residual
-        primal_res = _norm(image.dual)
-        image.dual += state.dual
-        image.y[:] = y
-        np.subtract(y, v, out=image.adj_dual)  # G*U + y - G*Z
+        image_dual, image_y = images[accel.slot]
+        np.subtract(lifted, z, out=image_dual)  # G y - Z, the primal residual
+        primal_res = _norm(image_dual)
+        image_dual += dual
+        image_y[:] = y
 
-        upper, lower = _bounds(
-            ens, b, delta, tau, x_minus_z, z, primal_res, y, image.adj_dual, _norm(y - state.y)
-        )
+        upper, lower = _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y, y - v, _norm(y - y_s))
         gap = (upper - lower) / upper if upper else 0.0
         if gap <= _GAP_TOL:
             converged = True
@@ -345,18 +333,18 @@ def solve(
             plain = step_norm > best or not accel.extrapolate(extrapolated_re)
             best = min(best, step_norm)
         if plain:
-            state = image
+            dual, y_s = image_dual, image_y
             lifted_y = lifted
         else:
-            state = extrapolated
-            lifted_y = lift_ctx.lift(state.y)
+            dual, y_s = _views(extrapolated, n)
+            lifted_y = lift_ctx.lift(y_s)
 
     return RecoveryResult(
         x_hat=weight_apply(y, inverse=True),
         y_hat=y,
         iterations=iterations,
         primal_residual=primal_res,
-        dual_residual=_norm(adj_z - adj_z_prev),
+        dual_residual=_norm(lift_ctx.lift_adjoint(z - z_prev)),
         objective=float(np.linalg.svd(lifted, compute_uv=False).sum()),
         duality_gap=gap,
         converged=converged,

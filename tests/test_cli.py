@@ -93,6 +93,26 @@ def test_seed_outside_signed_128_bits_is_usage_error(argv, seed, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["recover", "--n", "8", "--r", "1", "--m", "10"], "solve"),
+        (["phase-transition", "--n", "8", "--r", "1", "--m", "10", "--trials", "2"], "run_phase_transition"),
+        (["norm-scan", "--n", "4", "--trials", "30"], "run_norm_scan"),
+    ],
+)
+@pytest.mark.parametrize("out", ["missing/out", "."])
+def test_unwritable_out_is_usage_error_before_any_work(argv, work, out, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(f"hankel_recover.cli.{work}", no_work)
+    path = str(tmp_path / out)
+    assert run_cli([*argv, "--out", path]) == 1
+    err = capsys.readouterr().err
+    assert f"usage: hankel-recover {argv[0]} [-h]" in err and f"error: --out {path}" in err
+
+
 def test_recover_missing_required_flags_is_usage_error():
     assert run_cli(["recover", "--m", "4"]) == 1
     assert run_cli(["recover", "--n", "8", "--m", "4"]) == 1  # no --r, no --input

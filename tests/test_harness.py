@@ -62,12 +62,21 @@ def test_seed_outside_signed_128_bits_is_rejected_before_any_work(monkeypatch):
         with pytest.raises(ValueError, match="seed label must satisfy"):
             derive_seed(0, "signal", seed)
     assert derive_seed(0, 2**127 - 1) != derive_seed(0, -(2**127))
+    # a seed must be an integer: a float or a bool is not truncated to one
+    for seed in (1.5, 2.9, True):
+        with pytest.raises(ValueError, match="base_seed must satisfy"):
+            derive_seed(seed)
+        with pytest.raises(ValueError, match="seed label must satisfy"):
+            derive_seed(0, "signal", seed)
+    assert derive_seed(np.int64(3), np.int8(2)) == derive_seed(3, 2)
     monkeypatch.setattr("hankel_recover.harness._phase_trial", _no_work)
     monkeypatch.setattr("hankel_recover.harness._top_singular_value", _no_work)
-    with pytest.raises(ValueError, match="base_seed must satisfy"):
-        run_phase_transition(8, [1], [10], trials=2, base_seed=2**127)
-    with pytest.raises(ValueError, match="rng_seed must satisfy"):
-        run_norm_scan([4], trials=30, rng_seed=-(2**127) - 1)
+    for seed in (2**127, 1.5, True):
+        with pytest.raises(ValueError, match="base_seed must satisfy"):
+            run_phase_transition(8, [1], [10], trials=2, base_seed=seed)
+    for seed in (-(2**127) - 1, 2.7, True):
+        with pytest.raises(ValueError, match="rng_seed must satisfy"):
+            run_norm_scan([4], trials=30, rng_seed=seed)
 
 
 def test_worker_count_env_cap(monkeypatch):
@@ -241,6 +250,14 @@ def test_top_singular_value_matches_svd(n, samples):
         a = _lifted_gaussian(n, rng)
         want = np.linalg.svd(a, compute_uv=False)[0]
         assert abs(_top_singular_value(a) - want) <= 1e-12 * want
+    # a clustered top pair, sigma_2 = sigma_1 (1 - 1e-9) and sigma_2 = sigma_1,
+    # between random unitaries, with the rest of the spectrum below 0.9
+    for gap in (1e-9, 0.0):
+        s = np.concatenate(([1.0, 1.0 - gap], rng.uniform(0.0, 0.9, n - 2)))
+        left, _ = np.linalg.qr(_lifted_gaussian(n, rng))
+        right, _ = np.linalg.qr(_lifted_gaussian(n, rng))
+        a = (left * s) @ right.conj().T
+        assert abs(_top_singular_value(a) - 1.0) <= 1e-12
 
 
 def test_top_singular_value_rectangular_and_tiny():
@@ -267,7 +284,7 @@ def test_top_singular_value_rank_one_breakdown_is_exact(z, monkeypatch):
     checks = []  # convergence tests run; a breakdown at step 2 comes before any
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: checks.append(m.shape) or eigh(m))
-    with np.errstate(all="raise"):  # no division by a vanishing alpha
+    with np.errstate(all="raise"):  # no division by a vanishing beta
         got = _top_singular_value(a_mat)
     assert checks == []
     assert abs(got - want) <= 1e-13 * want
