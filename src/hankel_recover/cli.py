@@ -53,27 +53,17 @@ def build_parser() -> argparse.ArgumentParser:
         "sketches; run phase-transition grids and spectral-norm scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    config_help = "JSON config file; flags override its values"
 
     rec = sub.add_parser("recover", help="recover one signal from a Gaussian sketch")
     rec.add_argument("--n", type=int, help="Hankel side length N; signals have length 2N-1 (optional with --input)")
     rec.add_argument("--r", type=int, help="number of modes (needed to generate, optional with --input)")
     rec.add_argument("--m", type=int, help="number of measurements")
     rec.add_argument("--delta", type=float, default=0.0, help="noise level (0 = noise-free, default %(default)g)")
-    rec.add_argument("--seed", type=int, default=0, help="base seed for signal/sketch/noise (default %(default)s)")
-    rec.add_argument(
-        "--threshold",
-        type=float,
-        default=SUCCESS_THRESHOLD,
-        help="relative-error success threshold (default %(default)g)",
-    )
-    rec.add_argument("--max-iters", type=int, default=MAX_ITERS, help="ADMM sweep cap (default %(default)s)")
     rec.add_argument(
         "--family", choices=["sinusoid", "damped"], default="sinusoid", help="mode family for generated signals"
     )
     rec.add_argument("--input", help="JSON signal file to recover instead of generating one")
     rec.add_argument("--out", help="write the result JSON here (default: stdout)")
-    rec.add_argument("--config", help=config_help)
 
     pt = sub.add_parser("phase-transition", help="success-rate grid over (R, M)")
     pt.add_argument("--n", type=int, default=16, help="Hankel side length (default %(default)s)")
@@ -85,13 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated M values (default %(default)s)",
     )
     pt.add_argument("--trials", type=int, default=20, help="trials per cell (default %(default)s)")
-    pt.add_argument(
-        "--threshold", type=float, default=SUCCESS_THRESHOLD, help="success threshold (default %(default)g)"
-    )
-    pt.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
-    pt.add_argument("--max-iters", type=int, default=MAX_ITERS, help="ADMM sweep cap (default %(default)s)")
     pt.add_argument("--out", default="phase_transition.csv", help="output CSV path (default %(default)s)")
-    pt.add_argument("--config", help=config_help)
     pt.add_argument("--full", action="store_true", help="full protocol: N=64, 100 trials, M=1..127")
 
     ns = sub.add_parser("norm-scan", help="Monte-Carlo scan of the lifted-Gaussian spectral norm")
@@ -99,13 +83,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=_int_list, default="1,2,4,8,16,32,64", help="comma-separated N values (default %(default)s)"
     )
     ns.add_argument("--trials", type=int, default=200, help="trials per N (default %(default)s, minimum 30)")
-    ns.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
     ns.add_argument("--out", default="norm_scan.csv", help="output CSV path (default %(default)s)")
-    ns.add_argument("--config", help=config_help)
 
+    for p in (rec, pt):
+        p.add_argument(
+            "--threshold", type=float, default=SUCCESS_THRESHOLD, help="success threshold (default %(default)g)"
+        )
+        p.add_argument("--max-iters", type=int, default=MAX_ITERS, help="ADMM sweep cap (default %(default)s)")
     # Usage errors found after parsing go through the subcommand's parser,
     # so that they show its usage line and flags.
     for p in (rec, pt, ns):
+        p.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
+        p.add_argument("--config", help="JSON config file; flags override its values")
         p.set_defaults(subparser=p)
     return parser
 
@@ -153,11 +142,15 @@ def _parse(parser, argv):
     """Parse ``argv`` with the ``--full`` grid and then the ``--config``
     values placed ahead of the explicit flags, so that a flag beats the
     config file, which beats ``--full``, which beats the built-in default;
-    every value is type-checked by its option's declaration."""
+    ``"full"`` must be a JSON boolean, every other value is type-checked by
+    its option's declaration."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(parser, argv)
     config = _load_config(args.subparser, args.config)
-    presets = dict(_FULL_GRID) if hasattr(args, "full") and (args.full or config.get("full")) else {}
+    full = config.get("full") if hasattr(args, "full") else None
+    if not isinstance(full, (bool, type(None))):
+        args.subparser.error(f"config file {args.config}: 'full' must be true or false, got {full!r}")
+    presets = dict(_FULL_GRID) if full or getattr(args, "full", False) else {}
     presets.update(config)
     flags = _as_flags(presets, args)
     try:
@@ -225,13 +218,8 @@ def _run_recover(args) -> int:
     _check_count(n, "--n")
     _check_m(m, n, "--m")
     _check_delta(args.delta, "--delta")
-    _check_seed(args.seed, "--seed")
-    _check_positive(args.threshold, "--threshold")
-    _check_count(args.max_iters, "--max-iters")
     if r is not None:
         _check_r(r, n, "--r")
-    if args.out is not None:
-        _check_out(args.out)
 
     if x_true is None:
         x_true = synthesize(random_instance(n, r, args.family, derive_seed(args.seed, "signal")))
@@ -292,10 +280,6 @@ def _run_phase_transition(args) -> int:
     for r in args.r:
         _check_r(r, args.n, "--r")
     _check_count(args.trials, "--trials")
-    _check_positive(args.threshold, "--threshold")
-    _check_seed(args.seed, "--seed")
-    _check_count(args.max_iters, "--max-iters")
-    _check_out(args.out)
     grid = run_phase_transition(
         args.n,
         args.r,
@@ -321,8 +305,6 @@ def _run_norm_scan(args) -> int:
     for n in args.n:
         _check_count(n, "--n")
     _check_scan_trials(args.trials, "--trials")
-    _check_seed(args.seed, "--seed")
-    _check_out(args.out)
     scan = run_norm_scan(args.n, args.trials, args.seed)
     emit_csv(scan, args.out)
     for k, n in enumerate(scan.n_values):
@@ -337,6 +319,12 @@ _COMMANDS = {"recover": _run_recover, "phase-transition": _run_phase_transition,
 def main(argv=None) -> int:
     args = _parse(build_parser(), argv)
     try:
+        _check_seed(args.seed, "--seed")
+        if hasattr(args, "threshold"):
+            _check_positive(args.threshold, "--threshold")
+            _check_count(args.max_iters, "--max-iters")
+        if args.out is not None:
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
     except ValueError as exc:  # a rule on a flag, the input file or HANKEL_RECOVER_THREADS
         args.subparser.error(str(exc))

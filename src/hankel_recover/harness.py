@@ -62,17 +62,27 @@ def derive_seed(base_seed: int, *parts) -> int:
 
 
 def worker_count() -> int:
-    """Worker pool size: HANKEL_RECOVER_THREADS if set, else the number of
-    CPUs this process may run on (its affinity mask where the OS has one)."""
+    """Worker pool size: HANKEL_RECOVER_THREADS if set (a count, N >= 1),
+    else the number of CPUs this process may run on (its affinity mask where
+    the OS has one)."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
             raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
+        _check_count(count, THREADS_ENV_VAR)
+        return count
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
+
+
+def _read_only(values) -> np.ndarray:
+    """``values`` as a float array that cannot be written."""
+    a = np.asarray(values, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +99,7 @@ class PhaseGrid:
     success_rate: np.ndarray
 
     def __post_init__(self):
-        rate = np.asarray(self.success_rate, dtype=float)
-        rate.setflags(write=False)
-        object.__setattr__(self, "success_rate", rate)
+        object.__setattr__(self, "success_rate", _read_only(self.success_rate))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +111,10 @@ class NormScan:
     means: np.ndarray
     stderrs: np.ndarray
     seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "means", _read_only(self.means))
+        object.__setattr__(self, "stderrs", _read_only(self.stderrs))
 
 
 def _check_scan_trials(trials, name: str) -> None:

@@ -82,8 +82,10 @@ def test_seed_outside_signed_128_bits_is_rejected_before_any_work(monkeypatch):
 def test_worker_count_env_cap(monkeypatch):
     monkeypatch.setenv(THREADS_ENV_VAR, "3")
     assert worker_count() == 3
-    monkeypatch.setenv(THREADS_ENV_VAR, "0")
-    assert worker_count() == 1
+    for bad in ("0", "-3"):
+        monkeypatch.setenv(THREADS_ENV_VAR, bad)
+        with pytest.raises(ValueError, match=f"{THREADS_ENV_VAR} must be >= 1.*got {bad}"):
+            worker_count()
     monkeypatch.setenv(THREADS_ENV_VAR, "abc")
     with pytest.raises(ValueError, match=f"{THREADS_ENV_VAR}.*'abc'"):
         worker_count()
@@ -236,6 +238,14 @@ def test_norm_scan_deterministic_and_validated():
         run_norm_scan([4.6], trials=30)
     with pytest.raises(ValueError, match="trials must"):
         run_norm_scan([4], trials=30.5)
+
+
+def test_results_are_read_only():
+    scan = run_norm_scan([4], trials=30)
+    grid = run_phase_transition(4, [1], [7], 1)
+    for values in (scan.means, scan.stderrs, grid.success_rate):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 99
 
 
 def _lifted_gaussian(n, rng):

@@ -252,6 +252,19 @@ def test_solve_noisy_program_respects_ball():
     assert weighted <= 50 * delta  # stability at a generous constant
 
 
+def test_anderson_singular_system_leaves_out_alone():
+    # two pushes of the same residual: the differences' Gram matrix is 0
+    accel = solver_module._Anderson(3, 4)
+    rng = np.random.default_rng(5)
+    res, img = _rand_mat(rng, 3), _rand_mat(rng, 4)
+    for _ in range(2):
+        accel.res[accel.slot], accel.img[accel.slot] = res, img
+        accel.push()
+    out = np.full(8, 7.0)
+    assert accel.extrapolate(out) is False
+    assert np.all(out == 7.0)
+
+
 def test_solve_ball_feasible_at_cap_after_extrapolated_step(monkeypatch):
     # An extrapolated state may leave the noise ball; the returned point is
     # the last projection's output, so it is feasible wherever the cap falls.
