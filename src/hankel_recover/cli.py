@@ -227,7 +227,10 @@ def _run_recover(args) -> int:
         raise ValueError(f"input signal has length {x_true.shape[0]}, expected 2N-1 = {2 * n - 1}")
 
     ens = sample_ensemble(m, n, derive_seed(args.seed, "ensemble"))
-    obs = measure(ens, x_true, args.delta, derive_seed(args.seed, "noise"))
+    try:
+        obs = measure(ens, x_true, args.delta, derive_seed(args.seed, "noise"))
+    except ValueError as exc:  # an --input signal whose measurements overflow
+        raise ValueError(f"--input {args.input}: {exc}" if args.input else str(exc)) from None
     result = solve(ens, obs, max_iters=args.max_iters)
 
     rel_error = float(np.linalg.norm(result.x_hat - x_true) / np.linalg.norm(x_true))

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .hankel import _check_count, _is_integer, _lift, _lift_adjoint, _spectrum_rank, lift, weight_apply
+from .hankel import _check_count, _is_integer, _lift_adjoint, _spectrum_rank, hankel_map, lift, weight_apply
 from .measurement import _check_m, measure, sample_ensemble
 from .modal import _check_r, random_instance, synthesize
 from .solver import MAX_ITERS, SUCCESS_THRESHOLD, _check_positive, _norm, solve, success
@@ -122,12 +122,12 @@ def _check_scan_trials(trials, name: str) -> None:
         raise ValueError(f"{name} must be >= 30 for a meaningful stderr and be an integer, got {trials}")
 
 
-def _success_floor(x_true: np.ndarray, n: int, threshold: float) -> float:
+def _success_floor(x_true: np.ndarray, threshold: float) -> float:
     """A lower bound on ||G D x||_* over every success x, that is every x with
     ||x - x_true|| <= threshold * ||x_true||.
 
-    Let G D x_true = A = U S V^H, A_k its top k singular triplets (k its
-    numerical rank; any k would do) and T = A - A_k. The subgradient
+    Let A = G D x_true = H(x_true) = U S V^H, A_k its top k singular triplets
+    (k its numerical rank; any k would do) and T = A - A_k. The subgradient
     inequality at A_k gives, with e = x - x_true,
 
         ||G D x||_* >= ||A_k + G D e||_* - ||T||_*
@@ -135,12 +135,12 @@ def _success_floor(x_true: np.ndarray, n: int, threshold: float) -> float:
                     >= ||A||_* - 2 ||T||_* - ||D G*(U_k V_k^H)|| threshold ||x_true||.
 
     ||D G*(U_k V_k^H)|| <= sqrt(N k) <= N, so the bound is at least
-    ||A||_* - N threshold ||x_true||. It calls the kernels _lift and
+    ||A||_* - N threshold ||x_true||. It calls hankel_map and the kernel
     _lift_adjoint, not lift: perfbench times harness.lift as the start of a
     norm-scan sample.
     """
-    u, s, vh = np.linalg.svd(_lift(weight_apply(x_true), n))
-    k = _spectrum_rank(s, n)
+    u, s, vh = np.linalg.svd(hankel_map(x_true))
+    k = _spectrum_rank(s, s.size)
     slope = np.linalg.norm(weight_apply(_lift_adjoint(u[:, :k] @ vh[:k])))
     return float(s.sum() - 2.0 * s[k:].sum() - slope * threshold * np.linalg.norm(x_true))
 
@@ -152,7 +152,7 @@ def _phase_trial(n, r, m, trial, base_seed, threshold, max_iters) -> bool:
     obs = measure(ens, x_true)
     # A feasible iterate below the floor puts the program's minimum below it
     # too, so neither the iterate nor a minimizer is a success.
-    bound = _success_floor(x_true, n, threshold)
+    bound = _success_floor(x_true, threshold)
     return success(solve(ens, obs, max_iters=max_iters, stop_below=bound), x_true, threshold)
 
 

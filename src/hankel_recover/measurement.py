@@ -120,19 +120,20 @@ def project_affine(ens: MeasurementEnsemble, v, b) -> np.ndarray:
 def project_ball(ens: MeasurementEnsemble, v, b, delta: float) -> np.ndarray:
     """Closest point to v satisfying ||B y - b||_2 <= delta.
 
-    Interior points are returned unchanged. Otherwise the constraint is active
-    and y = v - V diag(mu s / (1 + mu s^2)) U^H (B v - b), with the
+    Interior points are returned unchanged, and a delta at or below the
+    rounding of ||B v - b|| (0 among them) gets project_affine's point.
+    Otherwise y = v - V diag(mu s / (1 + mu s^2)) U^H (B v - b), with the
     multiplier mu > 0 from :func:`_ball_multiplier`.
     """
     _check_delta(delta)
     v = _check_vector(v, ens.ambient_len, "v")
     b = _check_vector(b, ens.m, "b")
-    if delta == 0.0:
-        return project_affine(ens, v, b)
     w = ens.b_matrix @ v - b
     gap = float(np.linalg.norm(w))
     if gap <= delta:
         return v.copy()
+    if delta <= np.finfo(float).eps * gap:
+        return project_affine(ens, v, b)
     wt = ens._u_h @ w
     s2 = ens._s**2
     mu = _ball_multiplier(np.abs(wt) ** 2, s2, delta)

@@ -36,8 +36,9 @@ class RecoveryResult:
     ``duality_gap`` is the certificate of the last sweep, (f_up - f_lo) /
     f_up (0 when f_up = 0), with f_up >= ``objective`` and f_lo <= the
     program's minimum (see :func:`solve`), so ``objective`` exceeds the
-    minimum by at most duality_gap * f_up. The dual point behind f_lo is
-    feasible by construction, so there is no dual infeasibility to report.
+    minimum by at most duality_gap * f_up. f_lo is the dual objective
+    Re<mu, b> - delta ||mu|| of a dual point feasible by construction, for
+    every delta, so there is no dual infeasibility to report.
     ``primal_residual`` is ||G y - Z||_F of the last sweep and
     ``dual_residual`` is ||G*(Z_k - Z_{k-1})||_2 of the last two sweeps
     (Z_0 = 0), both in the units of b: diagnostics that no stopping rule
@@ -203,7 +204,7 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
-def _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y, y_minus_v, step) -> tuple[float, float]:
+def _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y_minus_v, step) -> tuple[float, float]:
     """Bounds f_up >= ||G y||_* and f_lo <= the program's minimum from the
     quantities of one sweep: X = G y_s + U_s (y_s, U_s the state it started
     from), Z = svt(X, tau), v = G*(Z - U_s), ``primal_res`` = ||G y - Z||_F,
@@ -215,15 +216,12 @@ def _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y, y_minus_v, step) ->
     G y - Z has rank at most N. U+ = (X - Z) + G (y - y_s) has ||U+||_op <=
     tau + step, so W = U+ / (tau + step) is dual feasible: ||W||_op <= 1, and
     G*W = (y - v) / (tau + step) lies in range(B^H), since the projection
-    moved v along it. Every feasible point then has ||G y'||_* >= Re<W, G y'>
-    >= f_lo, with f_lo = Re<G*W, y> for delta = 0 (B y = b) and
-    :func:`_dual_value` otherwise.
+    moved v along it. Every feasible point y' then has ||G y'||_* >=
+    Re<W, G y'> >= f_lo = :func:`_dual_value` of G*W, the dual objective
+    Re<mu, b> - delta ||mu||, which delta = 0 makes Re<mu, b>.
     """
     upper = np.vdot(x_minus_z, z).real / tau + math.sqrt(ens.n) * primal_res
-    if delta == 0.0:
-        lower = np.vdot(y_minus_v, y).real
-    else:
-        lower = _dual_value(ens, y_minus_v, b, delta)
+    lower = _dual_value(ens, y_minus_v, b, delta)
     slack = _ROUNDING * upper
     return upper + slack, lower / (tau + step) - slack
 
@@ -253,14 +251,14 @@ def solve(
     the smallest seen so far.
 
     Every sweep bounds the program's minimum from both sides with quantities
-    it already holds, two inner products and no SVD (see ``_bounds``):
-    f_up >= ||G y||_* of its projection output y and f_lo <= the minimum,
-    from a dual point that is feasible by construction. The solve terminates
-    when f_up - f_lo <= _GAP_TOL * f_up, so ``objective`` is then within that
-    fraction of the minimum; hitting ``max_iters`` sweeps yields
-    ``converged=False``, not an error. The returned y is always the last
-    projection's output, so it satisfies the constraint whatever the last step
-    was.
+    it already holds and no SVD (see ``_bounds``): f_up >= ||G y||_* of its
+    projection output y, and f_lo <= the minimum, the dual objective of a
+    dual point feasible by construction, one formula for every delta. The
+    solve terminates when f_up - f_lo <= _GAP_TOL * f_up, so ``objective`` is
+    then within that fraction of the minimum; hitting ``max_iters`` sweeps
+    yields ``converged=False``, not an error. The returned y is always the
+    last projection's output, so it satisfies the constraint whatever the
+    last step was.
 
     With ``stop_below`` set, the solve also stops, with ``converged=False``,
     at the first sweep before the last one whose f_up < stop_below. That y is
@@ -269,22 +267,24 @@ def solve(
     solve will fail. The check never stops a solve whose bound is at most the
     minimum, so it then changes no iterate.
 
-    The noise level is ``obs.delta``, its only source (0 selects the
-    equality-constrained program), and the side length N is ``ens.n``, which
-    fixes the lift G.
+    The noise level is ``obs.delta``, its only source (0 is the exact
+    program), and the side length N is ``ens.n``, which fixes the lift G. An
+    observation whose squared norm overflows raises ``ValueError``.
     """
     _check_count(max_iters, "max_iters")
     if stop_below is not None and math.isnan(stop_below):
         raise ValueError("stop_below must not be NaN")
     b = _check_vector(obs.b, ens.m, "observation")
-    delta = obs.delta
+    norm_b = _norm(b)
+    if not math.isfinite(norm_b):
+        raise ValueError("observation b is too large: its squared norm overflows")
 
     n = ens.n
     ylen = ens.ambient_len
     lift_ctx = HankelLift(n)
     # 1 / rho_eff; b = 0 keeps every iterate at 0 for any tau, and 1.0 keeps
     # the bounds' division by tau defined
-    tau = _norm(b) / (_RHO * math.sqrt(ens.m)) or 1.0
+    tau = norm_b / (_RHO * math.sqrt(ens.m)) or 1.0
     # Each sweep writes its image (U, y) and its step Z - G y into the next
     # slot of the acceleration ring; an extrapolated state has its own.
     accel = _Anderson(n * n, n * n + ylen)
@@ -304,10 +304,10 @@ def solve(
         z = svt(x_minus_z, tau)
         x_minus_z -= z
         v = lift_ctx.lift_adjoint(z - dual)
-        if delta == 0.0:
+        if obs.delta == 0.0:  # perfbench pins the noise-free loop to project_affine
             y = project_affine(ens, v, b)
         else:
-            y = project_ball(ens, v, b, delta)
+            y = project_ball(ens, v, b, obs.delta)
         lifted = lift_ctx.lift(y)
         image_dual, image_y = images[accel.slot]
         np.subtract(lifted, z, out=image_dual)  # G y - Z, the primal residual
@@ -315,7 +315,7 @@ def solve(
         image_dual += dual
         image_y[:] = y
 
-        upper, lower = _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y, y - v, _norm(y - y_s))
+        upper, lower = _bounds(ens, b, obs.delta, tau, x_minus_z, z, primal_res, y - v, _norm(y - y_s))
         gap = (upper - lower) / upper if upper else 0.0
         if gap <= _GAP_TOL:
             converged = True

@@ -239,7 +239,23 @@ def test_recover_overflowing_input_is_usage_error(tmp_path, capsys):
         assert run_cli(["recover", "--n", "8", "--m", "10", "--input", str(big), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "usage: hankel-recover recover" in err and "must have finite entries" in err
+    assert f"--input {big}: " in err  # not only the usage line's [--input INPUT]
     assert "Traceback" not in err and not out.exists()
+
+
+def test_recover_overflowing_observation_is_usage_error(tmp_path, capsys):
+    # noise of norm 1e200 makes ||b||^2 overflow; the solve refuses it before any sweep
+    out = tmp_path / "result.json"
+    assert run_cli(["recover", "--n", "8", "--r", "1", "--m", "10", "--delta", "1e200", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage: hankel-recover recover" in err and "observation b is too large" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_recover_sub_rounding_delta_succeeds(tmp_path):
+    out = tmp_path / "result.json"
+    assert run_cli(["recover", "--n", "8", "--r", "1", "--m", "10", "--delta", "1e-300", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["converged"] is True
 
 
 def test_load_signal_round_trip(tmp_path):

@@ -186,7 +186,7 @@ def test_success_floor_is_below_every_success(n, r, seed, log_threshold, log_sca
     x = 10.0**log_scale * synthesize(random_instance(n, r, rng_seed=seed))
     threshold = 10.0**log_threshold
     radius = threshold * np.linalg.norm(x)
-    floor = harness_module._success_floor(x, n, threshold)
+    floor = harness_module._success_floor(x, threshold)
     # at least the plain bound ||G D x||_* - N threshold ||x||
     assert floor >= _nuclear(weight_apply(x)) - n * radius * (1.0 + 1e-12)
     # successes on the boundary: the steepest first-order descent direction

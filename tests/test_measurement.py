@@ -201,6 +201,19 @@ def test_project_ball_zero_delta_matches_affine():
     assert np.linalg.norm(project_ball(ens, v, b, 0.0) - project_affine(ens, v, b)) <= 1e-8
 
 
+@pytest.mark.parametrize("delta", [1e-300, 1e-160, 1e-120])
+def test_project_ball_sub_rounding_delta_matches_affine(delta):
+    # Newton on a delta this far below the misfit would overflow (1 + mu s^2)^3
+    rng = np.random.default_rng(15)
+    ens = sample_ensemble(10, 8, 16)
+    v = _rand_vec(rng, 15)
+    b = _rand_vec(rng, 10)
+    y = project_ball(ens, v, b, delta)
+    y_affine = project_affine(ens, v, b)
+    assert np.all(np.isfinite(y))
+    assert np.linalg.norm(y - y_affine) <= 1e-12 * np.linalg.norm(y_affine)
+
+
 @_property
 @given(sketch=_sketches(), scale=_scales, ratio=st.floats(1e-6, 0.99))
 def test_project_ball_feasibility_and_kkt(sketch, scale, ratio):

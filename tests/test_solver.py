@@ -238,6 +238,24 @@ def test_solve_zero_data_returns_zero():
     assert res.objective == 0.0
 
 
+def test_solve_rejects_observation_whose_norm_overflows():
+    ens = sample_ensemble(10, 8, 5)
+    for b in (np.full(10, 1e200 + 1e200j), np.full(10, 1e160 + 0j)):
+        with pytest.raises(ValueError, match="observation b is too large"):
+            solve(ens, Observation(b))
+
+
+def test_solve_sub_rounding_delta_is_the_exact_program():
+    n = 8
+    x = synthesize(random_instance(n, 1, "sinusoid", 17))
+    ens = sample_ensemble(10, n, 18)
+    obs = measure(ens, x)
+    exact = solve(ens, obs)
+    tiny = solve(ens, Observation(obs.b, 1e-300))
+    assert tiny.converged and tiny.iterations == exact.iterations
+    assert np.linalg.norm(tiny.x_hat - exact.x_hat) <= 1e-12 * np.linalg.norm(exact.x_hat)
+
+
 def test_solve_noisy_program_respects_ball():
     n = 12
     sig = random_instance(n, 2, "sinusoid", 8)
