@@ -18,7 +18,7 @@ from .harness import _check_scan_trials, _check_seed, derive_seed, emit_csv, run
 from .hankel import _check_count, _check_finite, _side_length, weight_apply
 from .measurement import _check_delta, _check_m, measure, sample_ensemble
 from .modal import ModeExtractionError, _check_r, matrix_pencil, random_instance, synthesize
-from .solver import MAX_ITERS, SUCCESS_THRESHOLD, _check_positive, solve, success
+from .solver import MAX_ITERS, SUCCESS_THRESHOLD, _check_positive, _relative_error, solve, success
 
 __all__ = ["main", "build_parser", "load_signal"]
 
@@ -224,7 +224,7 @@ def _run_recover(args) -> int:
     if x_true is None:
         x_true = synthesize(random_instance(n, r, args.family, derive_seed(args.seed, "signal")))
     elif x_true.shape[0] != 2 * n - 1:
-        raise ValueError(f"input signal has length {x_true.shape[0]}, expected 2N-1 = {2 * n - 1}")
+        raise ValueError(f"--input {args.input}: signal has length {x_true.shape[0]}, expected 2N-1 = {2 * n - 1}")
 
     ens = sample_ensemble(m, n, derive_seed(args.seed, "ensemble"))
     try:
@@ -233,7 +233,7 @@ def _run_recover(args) -> int:
         raise ValueError(f"--input {args.input}: {exc}" if args.input else str(exc)) from None
     result = solve(ens, obs, max_iters=args.max_iters)
 
-    rel_error = float(np.linalg.norm(result.x_hat - x_true) / np.linalg.norm(x_true))
+    rel_error = _relative_error(result.x_hat, x_true)
     weighted_error = float(np.linalg.norm(weight_apply(result.x_hat - x_true)))
     modes = pencil_residual = None
     if r is not None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -110,46 +109,19 @@ def svt(x_mat, tau: float) -> np.ndarray:
     return (u * np.maximum(s - tau, 0.0)) @ vh
 
 
-@lru_cache(maxsize=None)
-def _ring_systems(slots: int) -> dict:
-    """The least-squares system of Anderson acceleration as a linear map of
-    a ring's Gram matrix, per (newest slot, steps held).
-
-    With the steps held in slots o_0, ..., o_{count-1} (oldest first), column
-    i < count - 1 of ``cols`` takes step i + 1 minus step i and its last
-    column picks the newest step. ``system`` maps the flattened Gram matrix
-    of the slots to the (count - 1) x count matrix [H + reg tr(H) I | r],
-    where H is the Gram matrix of the differences and r their products with
-    the newest step.
-    """
-    table = {}
-    for newest in range(slots):
-        for count in range(2, slots + 1):
-            order = [(newest - count + 1 + i) % slots for i in range(count)]
-            cols = np.zeros((slots, count))
-            for i in range(count - 1):
-                cols[order[i + 1], i] = 1.0
-                cols[order[i], i] = -1.0
-            cols[newest, -1] = 1.0
-            system = np.kron(cols[:, :-1].T, cols.T)  # row i * count + j: (D^T G C)[i, j]
-            diagonal = system[:: count + 1][: count - 1]
-            diagonal += _AA_REG * diagonal.sum(axis=0)
-            for arr in (cols, system):
-                arr.setflags(write=False)
-            table[newest, count] = (cols, system)
-    return table
-
-
 class _Anderson:
     """Type-II Anderson acceleration of a fixed-point map x -> g(x).
 
     A ring of ``_AA_MEMORY + 1`` slots holds the latest residuals f and
     images g; the caller writes each step into ``res[slot]`` and
     ``img[slot]`` and then calls :meth:`push`. The Gram matrix Re<f_a, f_b>
-    of the stored residuals gains one row per step, and the least-squares
-    problem over the residual differences is formed from it. The residual
-    may be any real-linear function of g - x that vanishes at the fixed
-    points; the images are what gets extrapolated, with real coefficients.
+    of the stored residuals gains one row per step. Taken in chronological
+    order, its second difference is the Gram matrix H of the residual
+    differences and its last column's first difference their products r
+    with the newest residual (Walker and Ni, 2011); gamma solves (H +
+    _AA_REG tr(H) I) gamma = r. The residual may be any real-linear function
+    of g - x that vanishes at the fixed points; the images are what gets
+    extrapolated, with real coefficients.
     """
 
     def __init__(self, res_size: int, img_size: int):
@@ -161,7 +133,6 @@ class _Anderson:
         self.gram = np.zeros((slots, slots))
         self.slot = 0  # where the next step goes
         self.stored = 0  # consecutive steps held, the newest in the slot before ``slot``
-        self._systems = _ring_systems(slots)
 
     def push(self) -> float:
         """Store the step written into the current slot; return ||f||^2."""
@@ -182,15 +153,23 @@ class _Anderson:
         ``out``, with gamma the minimizer of ||f_k - sum_i gamma_i (f_{i+1} -
         f_i)||^2 plus a Tikhonov term; False, leaving ``out`` alone, without
         two steps or with a singular system."""
-        if self.stored < 2:
+        k = self.stored
+        if k < 2:
             return False
-        cols, system = self._systems[self.slot - 1 if self.slot else len(self.gram) - 1, self.stored]
-        normal = (system @ self.gram.ravel()).reshape(self.stored - 1, self.stored)
+        held = np.arange(self.slot - k, self.slot)  # oldest first; a negative slot wraps
+        g = self.gram[held[:, None], held]
+        rows = g[1:] - g[:-1]  # Re<f_{i+1} - f_i, f_j>
+        normal = rows[:, 1:] - rows[:, :-1]
+        normal.flat[::k] += _AA_REG * normal.trace()
         try:
-            gamma = np.linalg.solve(normal[:, :-1], normal[:, -1])
+            gamma = np.linalg.solve(normal, rows[:, -1])
         except np.linalg.LinAlgError:
             return False
-        np.dot(cols[:, -1] - cols[:, :-1] @ gamma, self._img_re, out=out)
+        w = np.zeros(len(self.gram))
+        w[held[:-1]] = gamma
+        w[held[1:]] -= gamma
+        w[held[-1]] += 1.0
+        np.dot(w, self._img_re, out=out)
         return True
 
 
@@ -199,17 +178,22 @@ def _views(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return flat[: n * n].reshape(n, n), flat[n * n :]
 
 
+def _unit(top: float) -> float:
+    """The largest power of two at most ``top`` (0.5 for 0): a unit that rounds nothing."""
+    return math.ldexp(0.5, math.frexp(top)[1])
+
+
 def _norm(a: np.ndarray) -> float:
     """Euclidean (Frobenius) norm of a contiguous complex array."""
     return math.sqrt(np.vdot(a, a).real)
 
 
-def _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y_minus_v, step) -> tuple[float, float]:
+def _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y_minus_v, step, unit) -> tuple[float, float]:
     """Bounds f_up >= ||G y||_* and f_lo <= the program's minimum from the
-    quantities of one sweep: X = G y_s + U_s (y_s, U_s the state it started
-    from), Z = svt(X, tau), v = G*(Z - U_s), ``primal_res`` = ||G y - Z||_F,
-    ``y_minus_v`` = y - v = G*U+ for U+ = U_s + G y - Z (G*G = I), and
-    ``step`` = ||y - y_s||.
+    quantities of one sweep, returned times ``unit``, the data's unit: X = G
+    y_s + U_s (y_s, U_s the state it started from), Z = svt(X, tau), v =
+    G*(Z - U_s), ``primal_res`` = ||G y - Z||_F, ``y_minus_v`` = y - v =
+    G*U+ for U+ = U_s + G y - Z (G*G = I), and ``step`` = ||y - y_s||.
 
     f_up = Re<X - Z, Z> / tau + sqrt(N) ||G y - Z||_F: (X - Z) / tau is a
     subgradient of the nuclear norm at Z, so the first term is ||Z||_*, and
@@ -223,7 +207,7 @@ def _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y_minus_v, step) -> tu
     upper = np.vdot(x_minus_z, z).real / tau + math.sqrt(ens.n) * primal_res
     lower = _dual_value(ens, y_minus_v, b, delta)
     slack = _ROUNDING * upper
-    return upper + slack, lower / (tau + step) - slack
+    return (upper + slack) * unit, (lower / (tau + step) - slack) * unit
 
 
 def solve(
@@ -269,15 +253,21 @@ def solve(
 
     The noise level is ``obs.delta``, its only source (0 is the exact
     program), and the side length N is ``ens.n``, which fixes the lift G. An
-    observation whose squared norm overflows raises ``ValueError``.
+    observation whose squared norm overflows raises ``ValueError``. The
+    sweeps run in power-of-two units of max(|b_i|, delta), so that no square
+    underflows on tiny data.
     """
     _check_count(max_iters, "max_iters")
     if stop_below is not None and math.isnan(stop_below):
         raise ValueError("stop_below must not be NaN")
     b = _check_vector(obs.b, ens.m, "observation")
-    norm_b = _norm(b)
-    if not math.isfinite(norm_b):
+    if not math.isfinite(_norm(b)):
         raise ValueError("observation b is too large: its squared norm overflows")
+    # a delta above every |b_i| sets the unit, so that delta / unit stays finite
+    unit = _unit(max(float(np.abs(b).max(initial=0.0)), obs.delta))
+    b = b / unit
+    delta = obs.delta / unit
+    norm_b = _norm(b)
 
     n = ens.n
     ylen = ens.ambient_len
@@ -304,10 +294,10 @@ def solve(
         z = svt(x_minus_z, tau)
         x_minus_z -= z
         v = lift_ctx.lift_adjoint(z - dual)
-        if obs.delta == 0.0:  # perfbench pins the noise-free loop to project_affine
+        if delta == 0.0:  # perfbench pins the noise-free loop to project_affine
             y = project_affine(ens, v, b)
         else:
-            y = project_ball(ens, v, b, obs.delta)
+            y = project_ball(ens, v, b, delta)
         lifted = lift_ctx.lift(y)
         image_dual, image_y = images[accel.slot]
         np.subtract(lifted, z, out=image_dual)  # G y - Z, the primal residual
@@ -315,7 +305,7 @@ def solve(
         image_dual += dual
         image_y[:] = y
 
-        upper, lower = _bounds(ens, b, obs.delta, tau, x_minus_z, z, primal_res, y - v, _norm(y - y_s))
+        upper, lower = _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y - v, _norm(y - y_s), unit)
         gap = (upper - lower) / upper if upper else 0.0
         if gap <= _GAP_TOL:
             converged = True
@@ -339,23 +329,29 @@ def solve(
             dual, y_s = _views(extrapolated, n)
             lifted_y = lift_ctx.lift(y_s)
 
+    y = y * unit
     return RecoveryResult(
         x_hat=weight_apply(y, inverse=True),
         y_hat=y,
         iterations=iterations,
-        primal_residual=primal_res,
-        dual_residual=_norm(lift_ctx.lift_adjoint(z - z_prev)),
-        objective=float(np.linalg.svd(lifted, compute_uv=False).sum()),
+        primal_residual=primal_res * unit,
+        dual_residual=_norm(lift_ctx.lift_adjoint(z - z_prev)) * unit,
+        objective=float(np.linalg.svd(lifted, compute_uv=False).sum()) * unit,
         duality_gap=gap,
         converged=converged,
     )
+
+
+def _relative_error(x, truth) -> float:
+    """||x - truth|| / ||truth||, in power-of-two units of max |truth_i| so no square underflows."""
+    unit = _unit(float(np.abs(truth).max()))
+    return float(np.linalg.norm((x - truth) / unit) / np.linalg.norm(truth / unit))
 
 
 def success(result: RecoveryResult, truth, threshold: float = SUCCESS_THRESHOLD) -> bool:
     """True iff the relative l2 recovery error is within threshold (closed)."""
     _check_positive(threshold, "threshold")
     truth = _check_vector(truth, result.x_hat.shape[0], "truth")
-    ref = np.linalg.norm(truth)
-    if ref == 0.0:
+    if not truth.any():
         raise ValueError("truth must be nonzero")
-    return bool(np.linalg.norm(result.x_hat - truth) <= threshold * ref)
+    return _relative_error(result.x_hat, truth) <= threshold

@@ -209,6 +209,27 @@ def test_recover_even_length_input_without_n_names_the_file(tmp_path, capsys):
     assert f"--input {even}" in err and "odd length" in err
 
 
+def test_recover_input_length_mismatch_names_the_file(tmp_path, capsys):
+    ones = tmp_path / "ones.json"
+    ones.write_text(json.dumps({"real": [1.0] * 15, "imag": [0.0] * 15}))
+    assert run_cli(["recover", "--n", "9", "--m", "10", "--input", str(ones)]) == 1
+    err = capsys.readouterr().err
+    assert "usage: hankel-recover recover" in err
+    assert f"--input {ones}: " in err and "length 15, expected 2N-1 = 17" in err
+
+
+def test_recover_tiny_input_succeeds(tmp_path):
+    # squares of 1e-200 underflow; the solve and the relative error are scale-free
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"real": [1e-200] * 15, "imag": [0.0] * 15}))
+    out = tmp_path / "result.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(["recover", "--m", "15", "--input", str(tiny), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["success"] is True and payload["relative_error"] <= 1e-12
+
+
 def test_recover_rejects_non_finite_input(tmp_path, capsys):
     # json accepts the NaN literal; the loader must reject it before the solver
     path = tmp_path / "nan.json"

@@ -283,6 +283,35 @@ def test_anderson_singular_system_leaves_out_alone():
     assert np.all(out == 7.0)
 
 
+def test_anderson_extrapolate_matches_stacked_least_squares():
+    # 14 pushes wrap the 6-slot ring twice; the restart drops the count to 1,
+    # so the counts run 2..6 before it and again after it
+    accel = solver_module._Anderson(7, 5)
+    rng = np.random.default_rng(11)
+    held = []
+    for push in range(14):
+        if push == 8:
+            accel.restart()
+            held = held[-1:]
+        res, img = _rand_mat(rng, 7), _rand_mat(rng, 5)
+        accel.res[accel.slot], accel.img[accel.slot] = res, img
+        accel.push()
+        held = (held + [(res.view(float), img.view(float))])[-len(accel.gram) :]
+        out = np.zeros(10)
+        if len(held) < 2:
+            assert accel.extrapolate(out) is False
+            continue
+        f = np.array([r for r, _ in held]).T
+        g = np.array([i for _, i in held]).T
+        df, dg = np.diff(f, axis=1), np.diff(g, axis=1)
+        normal = df.T @ df
+        normal += solver_module._AA_REG * np.trace(normal) * np.eye(len(held) - 1)
+        gamma = np.linalg.solve(normal, df.T @ f[:, -1])
+        expected = g[:, -1] - dg @ gamma
+        assert accel.extrapolate(out) is True
+        assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 def test_solve_ball_feasible_at_cap_after_extrapolated_step(monkeypatch):
     # An extrapolated state may leave the noise ball; the returned point is
     # the last projection's output, so it is feasible wherever the cap falls.
@@ -342,6 +371,33 @@ def test_solve_is_scale_invariant(log_scale, trial):
     assert scaled.converged == base.converged
     assert np.linalg.norm(scaled.x_hat - scale * base.x_hat) <= 1e-6 * scale * np.linalg.norm(base.x_hat)
     assert success(scaled, scale * x) == success(base, x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [2.0**-1000, 1e-300, 1e-200, 1e-160])
+@pytest.mark.parametrize("delta", [0.0, 1e-5])
+def test_solve_on_tiny_data_is_the_unit_scale_solve(scale, delta):
+    # squares of such data underflow; the solve works in power-of-two units
+    # of b, so scaling by a power of two changes no bit of the result
+    n = 16
+    x = synthesize(random_instance(n, 2, "sinusoid", 41))
+    ens = sample_ensemble(24, n, 42)
+    obs = measure(ens, x, delta, rng_seed=43)
+    base = solve(ens, obs)
+    tiny = solve(ens, Observation(scale * obs.b, scale * obs.delta))
+    assert base.converged and tiny.converged
+    assert np.linalg.norm(tiny.x_hat / scale - base.x_hat) <= 1e-6 * np.linalg.norm(base.x_hat)
+    assert success(tiny, scale * x)
+    if scale == 2.0**-1000:
+        assert np.array_equal(tiny.x_hat / scale, base.x_hat)
+        assert tiny.iterations == base.iterations and tiny.duality_gap == base.duality_gap
+
+
+def test_solve_noise_ball_holding_zero_returns_zero():
+    # delta / |b_i| ~ 1e600 would overflow in units of b
+    ens = sample_ensemble(10, 8, 5)
+    res = solve(ens, Observation(np.full(10, 1e-300 + 0j), 1e300))
+    assert res.converged and not res.x_hat.any()
 
 
 def test_converged_failures_beat_the_truth():
@@ -561,6 +617,23 @@ def test_success_threshold_is_closed():
     for bad in (0.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="threshold"):
             success(exact, truth, bad)
+
+
+def test_success_on_tiny_truth():
+    # ||truth||^2 underflows to 0 at 1e-200; the relative error does not
+    truth = np.full(5, 1e-200 + 0j)
+    res = RecoveryResult(
+        x_hat=truth * (1.0 + 1e-4),
+        y_hat=truth,
+        iterations=1,
+        primal_residual=0.0,
+        dual_residual=0.0,
+        objective=0.0,
+        duality_gap=0.0,
+        converged=True,
+    )
+    assert success(res, truth, 1e-3)
+    assert not success(res, truth, 1e-5)
 
 
 def _certify_truth(ens, y_true, r):
