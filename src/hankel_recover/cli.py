@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .harness import _check_scan_trials, _check_seed, derive_seed, emit_csv, run_norm_scan, run_phase_transition
-from .hankel import _check_count, _check_finite, _side_length, weight_apply
+from .hankel import _check_count, _check_finite, _side_length, _unit, weight_apply
 from .measurement import _check_delta, _check_m, measure, sample_ensemble
 from .modal import ModeExtractionError, _check_r, matrix_pencil, random_instance, synthesize
 from .solver import MAX_ITERS, SUCCESS_THRESHOLD, _check_positive, _relative_error, solve, success
@@ -234,7 +234,9 @@ def _run_recover(args) -> int:
     result = solve(ens, obs, max_iters=args.max_iters)
 
     rel_error = _relative_error(result.x_hat, x_true)
-    weighted_error = float(np.linalg.norm(weight_apply(result.x_hat - x_true)))
+    weighted_diff = weight_apply(result.x_hat - x_true)
+    unit = _unit(float(np.abs(weighted_diff).max()))  # so that no square underflows
+    weighted_error = float(np.linalg.norm(weighted_diff / unit)) * unit
     modes = pencil_residual = None
     if r is not None:
         modes, pencil_residual = _extract_modes(result.x_hat, r)

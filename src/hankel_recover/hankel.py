@@ -3,6 +3,7 @@ operator and its adjoint, and the Hankel-to-Toeplitz flip."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,6 +81,11 @@ def _check_vector(v, length: int, name: str) -> np.ndarray:
     if v.shape != (length,):
         raise ValueError(f"expected {name} of length {length}, got shape {v.shape}")
     return v
+
+
+def _unit(top: float) -> float:
+    """The largest power of two at most ``top`` (0.5 for 0): a unit that rounds nothing."""
+    return math.ldexp(0.5, math.frexp(top)[1])
 
 
 def _check_square(x_mat) -> np.ndarray:

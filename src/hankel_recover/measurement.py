@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import _check_count, _check_finite, _check_vector, _is_integer, _side_length, weight_apply
+from .hankel import _check_count, _check_finite, _check_vector, _is_integer, _side_length, _unit, weight_apply
 
 __all__ = [
     "MeasurementEnsemble",
@@ -123,12 +123,15 @@ def project_ball(ens: MeasurementEnsemble, v, b, delta: float) -> np.ndarray:
     Interior points are returned unchanged, and a delta at or below the
     rounding of ||B v - b|| (0 among them) gets project_affine's point.
     Otherwise y = v - V diag(mu s / (1 + mu s^2)) U^H (B v - b), with the
-    multiplier mu > 0 from :func:`_ball_multiplier`.
+    multiplier mu > 0 from :func:`_ball_multiplier`, all in power-of-two units
+    of max(|(B v - b)_i|, delta), so that no square underflows or overflows.
     """
     _check_delta(delta)
     v = _check_vector(v, ens.ambient_len, "v")
     b = _check_vector(b, ens.m, "b")
     w = ens.b_matrix @ v - b
+    unit = _unit(max(float(np.abs(w).max()), delta))
+    w, delta = w / unit, delta / unit
     gap = float(np.linalg.norm(w))
     if gap <= delta:
         return v.copy()
@@ -137,16 +140,7 @@ def project_ball(ens: MeasurementEnsemble, v, b, delta: float) -> np.ndarray:
     wt = ens._u_h @ w
     s2 = ens._s**2
     mu = _ball_multiplier(np.abs(wt) ** 2, s2, delta)
-    return v - ens._v @ (mu * ens._s * wt / (1.0 + mu * s2))
-
-
-def _dual_value(ens: MeasurementEnsemble, g: np.ndarray, b: np.ndarray, delta: float) -> float:
-    """Re<mu, b> - delta ||mu|| for the mu with B^H mu = g, where g must lie
-    in range(B^H), which makes mu unique. Every y with ||B y - b|| <= delta
-    has Re<g, y> = Re<mu, B y> >= this value. With B = U S V^H, U^H mu =
-    S^-1 V^H g, so the cached SVD gives it without a solve."""
-    coef = (g.conj() @ ens._v).conj() / ens._s  # U^H mu
-    return float(np.vdot(coef, ens._u_h @ b).real) - delta * float(np.linalg.norm(coef))
+    return v - ens._v @ (mu * ens._s * wt / (1.0 + mu * s2)) * unit
 
 
 def _ball_multiplier(wt2: np.ndarray, s2: np.ndarray, delta: float) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import _check_count, _check_finite, _is_integer, _side_length, hankel_map
+from .hankel import _check_count, _check_finite, _is_integer, _side_length, _unit, hankel_map
 
 __all__ = [
     "Mode",
@@ -113,7 +113,8 @@ def matrix_pencil(x, r: int) -> tuple[list[Mode], float]:
     matrix of x with its last/first row dropped, reduced to rank r through a
     truncated SVD; amplitudes come from a Vandermonde least-squares fit.
     Returns the modes, sorted by pole phase, then modulus, and the relative
-    re-synthesis residual ||x_fit - x|| / ||x|| of the fit.
+    re-synthesis residual ||x_fit - x|| / ||x|| of the fit. The fit runs in
+    power-of-two units of max |x_i|, so it does not depend on the scale of x.
 
     Raises
     ------
@@ -127,6 +128,8 @@ def matrix_pencil(x, r: int) -> tuple[list[Mode], float]:
     n = _side_length(x)
     if not (_is_integer(r) and 1 <= r <= n - 1):
         raise ValueError(f"need an integer 1 <= r <= N-1 = {n - 1}, got r = {r}")
+    unit = _unit(float(np.abs(x).max()))
+    x = x / unit
     x_norm = np.linalg.norm(x)
     if x_norm == 0.0:
         raise ValueError("cannot extract modes from the zero signal")
@@ -146,4 +149,4 @@ def matrix_pencil(x, r: int) -> tuple[list[Mode], float]:
     if not np.isfinite(residual) or residual > _PENCIL_TOL:
         raise ModeExtractionError(residual)
     order = np.lexsort((np.abs(poles), np.angle(poles)))
-    return [Mode(complex(poles[k]), complex(amps[k])) for k in order], residual
+    return [Mode(complex(poles[k]), complex(amps[k] * unit)) for k in order], residual

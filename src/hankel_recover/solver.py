@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import HankelLift, _check_count, _check_finite, _check_vector, weight_apply
-from .measurement import MeasurementEnsemble, Observation, _dual_value, project_affine, project_ball
+from .hankel import HankelLift, _check_count, _check_finite, _check_vector, _unit, weight_apply
+from .measurement import MeasurementEnsemble, Observation, project_affine, project_ball
 
 __all__ = ["MAX_ITERS", "RecoveryResult", "SUCCESS_THRESHOLD", "solve", "success", "svt"]
 
@@ -35,9 +35,9 @@ class RecoveryResult:
     ``duality_gap`` is the certificate of the last sweep, (f_up - f_lo) /
     f_up (0 when f_up = 0), with f_up >= ``objective`` and f_lo <= the
     program's minimum (see :func:`solve`), so ``objective`` exceeds the
-    minimum by at most duality_gap * f_up. f_lo is the dual objective
-    Re<mu, b> - delta ||mu|| of a dual point feasible by construction, for
-    every delta, so there is no dual infeasibility to report.
+    minimum by at most duality_gap * f_up. f_lo pairs a dual point feasible
+    by construction with the optimality of the projection that produced y,
+    for every delta, so there is no dual infeasibility to report.
     ``primal_residual`` is ||G y - Z||_F of the last sweep and
     ``dual_residual`` is ||G*(Z_k - Z_{k-1})||_2 of the last two sweeps
     (Z_0 = 0), both in the units of b: diagnostics that no stopping rule
@@ -178,36 +178,31 @@ def _views(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return flat[: n * n].reshape(n, n), flat[n * n :]
 
 
-def _unit(top: float) -> float:
-    """The largest power of two at most ``top`` (0.5 for 0): a unit that rounds nothing."""
-    return math.ldexp(0.5, math.frexp(top)[1])
-
-
 def _norm(a: np.ndarray) -> float:
     """Euclidean (Frobenius) norm of a contiguous complex array."""
     return math.sqrt(np.vdot(a, a).real)
 
 
-def _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y_minus_v, step, unit) -> tuple[float, float]:
+def _bounds(n, tau, x_minus_z, z, primal_res, y, y_minus_v, step, unit) -> tuple[float, float]:
     """Bounds f_up >= ||G y||_* and f_lo <= the program's minimum from the
     quantities of one sweep, returned times ``unit``, the data's unit: X = G
     y_s + U_s (y_s, U_s the state it started from), Z = svt(X, tau), v =
-    G*(Z - U_s), ``primal_res`` = ||G y - Z||_F, ``y_minus_v`` = y - v =
-    G*U+ for U+ = U_s + G y - Z (G*G = I), and ``step`` = ||y - y_s||.
+    G*(Z - U_s), y its projection onto the feasible set, ``primal_res`` =
+    ||G y - Z||_F, ``y_minus_v`` = y - v = G*U+ for U+ = U_s + G y - Z (G*G
+    = I), ``step`` = ||y - y_s|| and ``n`` = N.
 
     f_up = Re<X - Z, Z> / tau + sqrt(N) ||G y - Z||_F: (X - Z) / tau is a
     subgradient of the nuclear norm at Z, so the first term is ||Z||_*, and
     G y - Z has rank at most N. U+ = (X - Z) + G (y - y_s) has ||U+||_op <=
-    tau + step, so W = U+ / (tau + step) is dual feasible: ||W||_op <= 1, and
-    G*W = (y - v) / (tau + step) lies in range(B^H), since the projection
-    moved v along it. Every feasible point y' then has ||G y'||_* >=
-    Re<W, G y'> >= f_lo = :func:`_dual_value` of G*W, the dual objective
-    Re<mu, b> - delta ||mu||, which delta = 0 makes Re<mu, b>.
+    tau + step, so W = U+ / (tau + step) has ||W||_op <= 1, and G*W = (y -
+    v) / (tau + step). v - y is normal to the feasible set, affine or ball,
+    at the projection y, so every feasible y' has ||G y'||_* >= Re<W, G y'>
+    = Re<y - v, y'> / (tau + step) >= f_lo = Re<y - v, y> / (tau + step).
     """
-    upper = np.vdot(x_minus_z, z).real / tau + math.sqrt(ens.n) * primal_res
-    lower = _dual_value(ens, y_minus_v, b, delta)
+    upper = np.vdot(x_minus_z, z).real / tau + math.sqrt(n) * primal_res
+    lower = np.vdot(y_minus_v, y).real / (tau + step)
     slack = _ROUNDING * upper
-    return (upper + slack) * unit, (lower / (tau + step) - slack) * unit
+    return (upper + slack) * unit, (lower - slack) * unit
 
 
 def solve(
@@ -236,13 +231,13 @@ def solve(
 
     Every sweep bounds the program's minimum from both sides with quantities
     it already holds and no SVD (see ``_bounds``): f_up >= ||G y||_* of its
-    projection output y, and f_lo <= the minimum, the dual objective of a
-    dual point feasible by construction, one formula for every delta. The
-    solve terminates when f_up - f_lo <= _GAP_TOL * f_up, so ``objective`` is
-    then within that fraction of the minimum; hitting ``max_iters`` sweeps
-    yields ``converged=False``, not an error. The returned y is always the
-    last projection's output, so it satisfies the constraint whatever the
-    last step was.
+    projection output y, and f_lo <= the minimum, the inner product of a dual
+    point feasible by construction with y, a bound for every delta by the
+    projection's optimality. The solve terminates when f_up - f_lo <=
+    _GAP_TOL * f_up, so ``objective`` is then within that fraction of the
+    minimum; hitting ``max_iters`` sweeps yields ``converged=False``, not an
+    error. The returned y is always the last projection's output, so it
+    satisfies the constraint whatever the last step was.
 
     With ``stop_below`` set, the solve also stops, with ``converged=False``,
     at the first sweep before the last one whose f_up < stop_below. That y is
@@ -305,7 +300,7 @@ def solve(
         image_dual += dual
         image_y[:] = y
 
-        upper, lower = _bounds(ens, b, delta, tau, x_minus_z, z, primal_res, y - v, _norm(y - y_s), unit)
+        upper, lower = _bounds(n, tau, x_minus_z, z, primal_res, y, y - v, _norm(y - y_s), unit)
         gap = (upper - lower) / upper if upper else 0.0
         if gap <= _GAP_TOL:
             converged = True

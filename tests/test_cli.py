@@ -230,6 +230,26 @@ def test_recover_tiny_input_succeeds(tmp_path):
     assert payload["success"] is True and payload["relative_error"] <= 1e-12
 
 
+def test_recover_tiny_input_reports_error_and_modes_in_units(tmp_path):
+    # at 2^-700 the weighted error's squares and the pencil's data underflow;
+    # both work in power-of-two units, so every figure scales exactly
+    results = []
+    for name, value in (("ones", 1.0), ("tiny", 2.0**-700)):
+        signal = tmp_path / f"{name}.json"
+        signal.write_text(json.dumps({"real": [value] * 15, "imag": [0.0] * 15}))
+        out = tmp_path / f"{name}_result.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(["recover", "--m", "15", "--r", "1", "--input", str(signal), "--out", str(out)]) == 0
+        results.append(json.loads(out.read_text()))
+    ones, tiny = results
+    assert ones["weighted_error"] > 0.0
+    assert tiny["weighted_error"] == 2.0**-700 * ones["weighted_error"]
+    assert tiny["modes"] is not None and tiny["pencil_residual"] == ones["pencil_residual"]
+    for mode, ref in zip(tiny["modes"], ones["modes"]):
+        assert mode["z"] == ref["z"] and mode["c"] == [2.0**-700 * c for c in ref["c"]]
+
+
 def test_recover_rejects_non_finite_input(tmp_path, capsys):
     # json accepts the NaN literal; the loader must reject it before the solver
     path = tmp_path / "nan.json"

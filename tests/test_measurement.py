@@ -214,6 +214,25 @@ def test_project_ball_sub_rounding_delta_matches_affine(delta):
     assert np.linalg.norm(y - y_affine) <= 1e-12 * np.linalg.norm(y_affine)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [2.0**-700, 1e-200, 1e-160, 1e160])
+def test_project_ball_is_scale_free(scale):
+    # the misfit's squares underflow or overflow at these scales; the
+    # projection works in power-of-two units of the misfit, so y / scale is
+    # the unit-scale point, exactly when the scale is a power of two
+    rng = np.random.default_rng(17)
+    ens = sample_ensemble(10, 8, 3)
+    v = np.zeros(15, dtype=complex)
+    b = _rand_vec(rng, 10)
+    base = project_ball(ens, v, b, 1e-3)
+    y = project_ball(ens, v, scale * b, 1e-3 * scale)
+    assert np.linalg.norm(y / scale - base) <= 1e-12 * np.linalg.norm(base)
+    if scale == 2.0**-700:
+        assert np.array_equal(y / scale, base)
+    # on the ball's boundary, to the rounding of the residual's evaluation
+    assert np.linalg.norm((ens.b_matrix @ y - scale * b) / scale) <= 1e-3 * (1.0 + 1e-9)
+
+
 @_property
 @given(sketch=_sketches(), scale=_scales, ratio=st.floats(1e-6, 0.99))
 def test_project_ball_feasibility_and_kkt(sketch, scale, ratio):

@@ -164,6 +164,26 @@ def test_matrix_pencil_validation():
     assert info.value.residual == np.inf
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [2.0**-700, 2.0**700, 1e-200, 1e200])
+def test_matrix_pencil_is_scale_free(scale):
+    # the Hankel data's squares underflow or overflow at these scales; the
+    # pencil works in power-of-two units of max |x_i|, so poles and the
+    # residual are scale-free and the amplitudes scale with x
+    x = synthesize(random_instance(8, 2, rng_seed=1))
+    base, base_residual = matrix_pencil(x, 2)
+    modes, residual = matrix_pencil(scale * x, 2)
+    if scale in (2.0**-700, 2.0**700):  # a power of two rounds nothing
+        assert residual == base_residual
+        assert [m.z for m in modes] == [m.z for m in base]
+        assert [m.c / scale for m in modes] == [m.c for m in base]
+    else:
+        assert residual <= 1e-12
+        for mode, ref in zip(modes, base):
+            assert abs(mode.z - ref.z) <= 1e-12
+            assert abs(mode.c / scale - ref.c) <= 1e-12 * abs(ref.c)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_matrix_pencil_rejects_non_finite_input(bad):
     x = synthesize(random_instance(8, 2, "sinusoid", 21))

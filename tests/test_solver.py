@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -562,6 +564,49 @@ def test_duality_gap_brackets_the_minimum(n, r, m_share, seed, log_noise, max_it
     scaled = solve(ens, Observation(scale * obs.b, scale * obs.delta), max_iters=max_iters)
     assert scaled.iterations == res.iterations
     assert scaled.duality_gap == pytest.approx(res.duality_gap, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["exact", "boundary-ball", "interior-ball", "sub-rounding-delta"])
+def test_lower_bound_is_the_dual_objective(case):
+    # f_lo = Re<y - v, y> / (tau + step) at the projection y of v equals the
+    # dual objective Re<mu, b> - delta ||mu|| / (tau + step) of B^H mu = y - v,
+    # sweep by sweep, both in the solver's units
+    n = 16
+    x = synthesize(random_instance(n, 2, "sinusoid", 5))
+    ens = sample_ensemble(24, n, 6)
+    b = measure(ens, x).b
+    norm_b = np.linalg.norm(b)
+    delta = {"exact": 0.0, "boundary-ball": 1e-2 * norm_b, "interior-ball": norm_b, "sub-rounding-delta": 1e-300}[case]
+    projections, certificates = [], []
+    signature = inspect.signature(solver_module._bounds)
+
+    def spying(real):
+        def spy(ens, v, b, *delta):
+            y = real(ens, v, b, *delta)
+            projections.append((v, b, delta[0] if delta else 0.0, y))
+            return y
+
+        return spy
+
+    def recording_bounds(*args, real=solver_module._bounds):
+        bounds = real(*args)
+        certificates.append((signature.bind(*args).arguments, bounds))
+        return bounds
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_module, "project_affine", spying(solver_module.project_affine))
+        patch.setattr(solver_module, "project_ball", spying(solver_module.project_ball))
+        patch.setattr(solver_module, "_bounds", recording_bounds)
+        res = solve(ens, Observation(b, delta), max_iters=200)
+    assert len(projections) == len(certificates) == res.iterations
+    for (v, b_units, delta_units, y), (args, (upper, lower)) in zip(projections, certificates):
+        assert np.array_equal(args["y"], y) and np.array_equal(args["y_minus_v"], y - v)
+        mu = np.linalg.lstsq(ens.b_matrix.conj().T, y - v, rcond=None)[0]
+        dual = np.vdot(mu, b_units).real - delta_units * np.linalg.norm(mu)
+        reference = dual / (args["tau"] + args["step"]) * args["unit"]
+        # f_lo before its widening by _ROUNDING times the unwidened f_up
+        unwidened = lower + upper * solver_module._ROUNDING / (1.0 + solver_module._ROUNDING)
+        assert abs(unwidened - reference) <= 1e-12 * upper
 
 
 def test_found_success_stops_on_its_certificate():
